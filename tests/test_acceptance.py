@@ -90,6 +90,22 @@ def test_criterion_3_stability(analysis_corpus):
     )
 
 
+# (best_key.target_string(), best_score to 12 significant digits) per
+# criterion-4 trial; any change to the search or its scoring shows here
+CRITERION_4_KEYS = [
+    ("jptagibuxhqrskwezfoclmdvny", "-5184.38292775"),
+    ("ytkipeqwdohvsajxulnfmrcgbz", "-5184.38292775"),
+    ("olfwbrjzkgsmdayxcupivehntq", "-5184.38292775"),
+    ("dxcjqgzfestniwbkamuyvohlrp", "-5184.38292775"),
+    ("hosplvmcayiufjzebkwgqrtxdn", "-5184.38292775"),
+    ("hovkcigewadyqtbzfxljusnrmp", "-5184.38292775"),
+    ("izdfwxnmerqypctjuvksgaohbl", "-5184.38292775"),
+    ("iucnmvydrkaplewosgzqhxjftb", "-5184.38292775"),
+    ("zyxnjgupwhrtfmialvsebdckoq", "-5184.38292775"),
+    ("lskuntewrojmdybighvzxqcpaf", "-5184.38292775"),
+]
+
+
 def test_criterion_4_solver(en, training_model, solver_plaintext):
     assert len(solver_plaintext) == 2000
     assert training_model.unigram.total >= 100000
@@ -114,6 +130,8 @@ def test_criterion_4_solver(en, training_model, solver_plaintext):
         worst_time = max(worst_time, elapsed)
         assert elapsed < 10.0
         assert report.best_score >= seed_score  # monotone improvement
+        pinned = (report.best_key.target_string(), f"{report.best_score:.12g}")
+        assert pinned == CRITERION_4_KEYS[trial]
         correct = sum(
             1 for ch in en.letters if report.best_key.mapping[ch] == true_key.mapping[ch]
         )
