@@ -162,34 +162,46 @@ class LanguageModel:
 
     @classmethod
     def load(cls, prefix: str, alphabet: Alphabet, smoothing: float = 0.5) -> "LanguageModel":
-        """Read the two CSV tables written by :meth:`save`."""
+        """Read the two CSV tables written by :meth:`save`.
+
+        A letter (unigram file) or pair (digram file) listed twice is an
+        error naming the line that repeats it.
+        """
         ucounts: dict[str, int] = {}
-        with open(f"{prefix}.unigram.csv", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or rows[0] != ["letter", "count"]:
-            raise InputError("unigram file must start with header 'letter,count'")
-        for lineno, row in enumerate(rows[1:], start=2):
-            if len(row) != 2:
-                raise InputError(f"unigram file line {lineno}: expected 2 fields")
-            try:
-                ucounts[row[0]] = int(row[1])
-            except ValueError:
-                raise InputError(f"unigram file line {lineno}: bad count {row[1]!r}") from None
+        for lineno, (letter, count) in _model_rows(f"{prefix}.unigram.csv", "unigram", ["letter", "count"]):
+            if letter in ucounts:
+                raise InputError(f"unigram file line {lineno}: repeated letter {letter!r}")
+            ucounts[letter] = count
         dcounts: dict[tuple[str, str], int] = {}
-        with open(f"{prefix}.digram.csv", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or rows[0] != ["first", "second", "count"]:
-            raise InputError("digram file must start with header 'first,second,count'")
-        for lineno, row in enumerate(rows[1:], start=2):
-            if len(row) != 3:
-                raise InputError(f"digram file line {lineno}: expected 3 fields")
-            try:
-                dcounts[(row[0], row[1])] = int(row[2])
-            except ValueError:
-                raise InputError(f"digram file line {lineno}: bad count {row[2]!r}") from None
+        for lineno, (first, second, count) in _model_rows(
+            f"{prefix}.digram.csv", "digram", ["first", "second", "count"]
+        ):
+            if (first, second) in dcounts:
+                raise InputError(f"digram file line {lineno}: repeated pair {first + second!r}")
+            dcounts[(first, second)] = count
         unigram = FrequencyTable.from_counts(alphabet, ucounts)
         digram = DigramTable(alphabet, dcounts, sum(dcounts.values()))
         return cls(unigram=unigram, digram=digram, smoothing=smoothing)
+
+
+def _model_rows(path: str, kind: str, header: list[str]):
+    """(line number, row) for each data row of a model CSV, last field as int."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot decode {path!r} as UTF-8: {exc.reason} at byte {exc.start}") from None
+    if not rows or rows[0] != header:
+        raise InputError(f"{kind} file must start with header '{','.join(header)}'")
+    out = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise InputError(f"{kind} file line {lineno}: expected {len(header)} fields")
+        try:
+            out.append((lineno, (*row[:-1], int(row[-1]))))
+        except ValueError:
+            raise InputError(f"{kind} file line {lineno}: bad count {row[-1]!r}") from None
+    return out
 
 
 @dataclass(frozen=True)
@@ -324,7 +336,6 @@ def hill_climb_solve(
     c: Cryptogram,
     model: LanguageModel,
     restarts: int = 20,
-    max_stale: int = 2,
     seed: int = 0,
     warning_threshold: int = LENGTH_WARNING_THRESHOLD,
 ) -> SolverReport:
@@ -333,9 +344,11 @@ def hill_climb_solve(
     Restart 1 starts from the frequency-match key; later restarts start
     from seeded random keys. Each sweep evaluates every pairwise swap of
     mapping targets and takes the best strict improvement; a restart
-    ends after `max_stale` consecutive sweeps without one. The best key
-    across restarts wins, earliest restart first on ties, which also
-    guarantees the result never scores below the frequency-match seed.
+    ends on the first sweep without one, since a sweep is a pure
+    function of the assignment and repeating it would change nothing.
+    The best key across restarts wins, earliest restart first on ties,
+    which also guarantees the result never scores below the
+    frequency-match seed.
     """
     if len(c.symbols) == 0:
         raise InputError("empty cryptogram")
@@ -362,8 +375,7 @@ def hill_climb_solve(
             substream(seed, r).shuffle(perm)
             assignment = np.array(perm, dtype=np.intp)
         current = evaluate(assignment)
-        stale = 0
-        while stale < max_stale:
+        while True:
             best_swap = None
             best_gain_score = current
             for i in range(size - 1):
@@ -375,12 +387,10 @@ def hill_climb_solve(
                         best_gain_score = cand
                         best_swap = (i, j)
             if best_swap is None:
-                stale += 1
-            else:
-                i, j = best_swap
-                assignment[i], assignment[j] = assignment[j], assignment[i]
-                current = best_gain_score
-                stale = 0
+                break
+            i, j = best_swap
+            assignment[i], assignment[j] = assignment[j], assignment[i]
+            current = best_gain_score
         if current > best_score_val:
             best_score_val = current
             best_assignment = assignment.copy()

@@ -5,6 +5,10 @@ One subcommand per analysis, all sharing `--alphabet`, `--format`, and
 and identical invocations on identical files produce byte-identical
 output. Exit codes: 0 success, 1 data error (unreadable file, malformed
 alphabet spec, empty corpus), 2 usage error.
+
+Every subcommand is one :class:`Command` entry of :data:`COMMANDS`: its
+arguments, its default format, and a function from the parsed arguments
+to a :class:`Report`, which renders itself in each of :data:`FORMATS`.
 """
 
 from __future__ import annotations
@@ -13,12 +17,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 from . import __version__
 from .alphabet import (
     Alphabet,
-    LetterSequence,
     builtin_alphabet,
     builtin_names,
     load_alphabet,
@@ -50,46 +54,57 @@ from .stylometry import (
 from .zipf import fit_power_law, word_rank_frequency
 
 FORMATS = ("csv", "json", "text")
+SEED_LIMIT = 1 << 64
 
 
-@dataclass
-class RunConfig:
-    """Everything one invocation needs; built from parsed arguments."""
+@dataclass(frozen=True)
+class Report:
+    """One command's result in every output format.
 
-    subcommand: str
-    alphabet: str = "en"
-    inputs: tuple[str, ...] = ()
-    format: str = "text"
-    seed: int = 0
-    restarts: int = 20
-    alpha: float = 0.01
-    min_count: int = 5
-    length_threshold: int = 90
-    sizes: tuple[int, ...] = ()
-    model: str | None = None
-    out: str | None = None
-    order: int = 1
-    length: int = 0
-    reference: str | None = None
-    block_size: int = 1000
-    vc_corpus: str | None = None
-    random_samples: bool = False
+    `header` and `rows` are the CSV lines, `data` the JSON value, and
+    `lines` the text lines; :meth:`render` ends every format with a
+    newline.
+    """
 
-    def __post_init__(self):
-        if self.format not in FORMATS:
-            raise InputError(f"unknown format {self.format!r}")
-        if self.seed < 0:
-            raise InputError("seed must be nonnegative")
+    header: str
+    rows: list[str]
+    data: object
+    lines: list[str]
+
+    def render(self, fmt: str) -> str:
+        if fmt == "json":
+            return json.dumps(self.data, indent=2, ensure_ascii=False) + "\n"
+        return "\n".join([self.header, *self.rows] if fmt == "csv" else self.lines) + "\n"
+
+
+def _num(v: float) -> str:
+    return f"{v:.12g}"
+
+
+def _cell(v: object) -> str:
+    return _num(v) if isinstance(v, float) else str(v)
+
+
+def _record(data: dict, lines: list[str], cell: Callable[[object], str] = _cell) -> Report:
+    """Report whose JSON is `data` and whose CSV is one row under its keys."""
+    return Report(",".join(data), [",".join(map(cell, data.values()))], data, lines)
+
+
+def _table(header: str, records: list[dict], lines: list[str]) -> Report:
+    """Report whose JSON is `records` and whose CSV has one row per record."""
+    return Report(header, [",".join(map(_cell, r.values())) for r in records], records, lines)
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path!r}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot decode {path!r} as UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
 def _resolve_alphabet(name_or_path: str) -> Alphabet:
@@ -103,512 +118,305 @@ def _resolve_alphabet(name_or_path: str) -> Alphabet:
     )
 
 
-def _json(obj) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+def _corpus(args: argparse.Namespace, path: str, parse=normalize):
+    """`parse` (normalize, tokenize_words or parse_cryptogram) of `path` over --alphabet."""
+    ab = _resolve_alphabet(args.alphabet)
+    return parse(_read_text(path), ab, source=path)
 
 
-def _num(v: float) -> str:
-    return f"{v:.12g}"
+# ---------------------------------------------------------------- tables
 
 
-def _corpus(cfg: RunConfig, index: int = 0) -> LetterSequence:
-    ab = _resolve_alphabet(cfg.alphabet)
-    return normalize(_read_text(cfg.inputs[index]), ab, source=cfg.inputs[index])
-
-
-# ---------------------------------------------------------------- count
-
-
-def _cmd_count(cfg: RunConfig) -> str:
-    seq = _corpus(cfg)
-    table = count_letters(seq)
+def _count(args) -> Report:
+    table = count_letters(_corpus(args, args.input))
     ranks = rank_order(table)
     rank_of = {ch: i + 1 for i, ch in enumerate(ranks)}
-    if cfg.format == "csv":
-        lines = ["letter,count,proportion,rank"]
-        for ch in table.alphabet.letters:
-            lines.append(f"{ch},{table.counts[ch]},{table.proportion(ch):.6f},{rank_of[ch]}")
-        return "\n".join(lines) + "\n"
-    if cfg.format == "json":
-        d = table.to_json_dict()
-        d["rank_order"] = ranks
-        return _json(d)
-    lines = [f"letters: {table.total}"]
-    for ch in ranks:
-        lines.append(f"  {ch}  {table.counts[ch]:>8}  {table.proportion(ch):.6f}")
-    lines.append("rank order: " + "".join(ranks))
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_digrams(cfg: RunConfig) -> str:
-    seq = _corpus(cfg)
-    table = count_digrams(seq)
-    if cfg.format == "csv":
-        return table.to_csv()
-    if cfg.format == "json":
-        return _json(table.to_json_dict())
-    lines = [f"digrams: {table.total}"]
-    pairs = sorted(table.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    for (a, b), n in pairs:
-        lines.append(f"  {a}{b}  {n:>8}  {n / table.total:.6f}")
-    return "\n".join(lines) + "\n"
-
-
-def _distance_row(d) -> dict:
-    return {
-        "total_variation": d.total_variation,
-        "chi_square": d.chi_square,
-        "rank_correlation": d.rank_correlation,
-    }
-
-
-def _cmd_compare(cfg: RunConfig) -> str:
-    a = count_letters(_corpus(cfg, 0))
-    b = count_letters(_corpus(cfg, 1))
-    d = compare_tables(a, b)
-    if cfg.format == "csv":
-        return (
-            "total_variation,chi_square,rank_correlation\n"
-            f"{_num(d.total_variation)},{_num(d.chi_square)},{_num(d.rank_correlation)}\n"
-        )
-    if cfg.format == "json":
-        return _json(_distance_row(d))
-    return (
-        f"total variation:  {d.total_variation:.6f}\n"
-        f"chi-square:       {_num(d.chi_square)}\n"
-        f"rank correlation: {d.rank_correlation:.6f}\n"
+    return Report(
+        "letter,count,proportion,rank",
+        [f"{ch},{table.counts[ch]},{table.proportion(ch):.6f},{rank_of[ch]}" for ch in table.alphabet.letters],
+        {**table.to_json_dict(), "rank_order": ranks},
+        [f"letters: {table.total}"]
+        + [f"  {ch}  {table.counts[ch]:>8}  {table.proportion(ch):.6f}" for ch in ranks]
+        + ["rank order: " + "".join(ranks)],
     )
 
 
-def _random_subsample_curve(seq: LetterSequence, sizes: list[int], seed: int):
-    # seeded selection sampling; one substream per requested size keeps
-    # each entry independent of the order sizes are asked in
-    from .freq import compare_tables as _compare, count_letters as _count
-    from .rng import substream
-
-    full = _count(seq)
-    if full.total == 0:
-        raise InputError("empty corpus")
-    out = []
-    for k, size in enumerate(sizes):
-        if size <= 0 or size > len(seq.symbols):
-            raise InputError(f"sample size {size} not in 1..{len(seq.symbols)}")
-        rng = substream(seed, k)
-        pool = list(seq.symbols)
-        n = len(pool)
-        for i in range(size):
-            j = i + rng.next_below(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        sample = LetterSequence(seq.alphabet, "".join(pool[:size]), source=f"{seq.source} sample")
-        out.append((size, _compare(_count(sample), full)))
-    return out
+def _digrams(args) -> Report:
+    table = count_digrams(_corpus(args, args.input))
+    header, *rows = table.to_csv()[:-1].split("\n")
+    pairs = sorted(table.counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return Report(
+        header,
+        rows,
+        table.to_json_dict(),
+        [f"digrams: {table.total}"] + [f"  {a}{b}  {n:>8}  {n / table.total:.6f}" for (a, b), n in pairs],
+    )
 
 
-def _cmd_stability(cfg: RunConfig) -> str:
-    if not cfg.sizes:
-        raise InputError("stability requires --sizes")
-    seq = _corpus(cfg)
-    if cfg.random_samples:
-        curve = _random_subsample_curve(seq, list(cfg.sizes), cfg.seed)
-    else:
-        curve = stability_curve(seq, list(cfg.sizes))
-    if cfg.format == "csv":
-        lines = ["size,total_variation,chi_square,rank_correlation"]
-        for size, d in curve:
-            lines.append(
-                f"{size},{_num(d.total_variation)},{_num(d.chi_square)},{_num(d.rank_correlation)}"
-            )
-        return "\n".join(lines) + "\n"
-    if cfg.format == "json":
-        return _json([{"size": s, **_distance_row(d)} for s, d in curve])
-    lines = [f"corpus length: {len(seq)}"]
-    for size, d in curve:
-        lines.append(f"  prefix {size:>8}: total variation {d.total_variation:.6f}")
-    return "\n".join(lines) + "\n"
+def _compare(args) -> Report:
+    a, b = count_letters(_corpus(args, args.input0)), count_letters(_corpus(args, args.input1))
+    d = compare_tables(a, b)
+    return _record(
+        asdict(d),
+        [
+            f"total variation:  {d.total_variation:.6f}",
+            f"chi-square:       {_num(d.chi_square)}",
+            f"rank correlation: {d.rank_correlation:.6f}",
+        ],
+    )
 
 
-def _cmd_positions(cfg: RunConfig) -> str:
-    ab = _resolve_alphabet(cfg.alphabet)
-    words = tokenize_words(_read_text(cfg.inputs[0]), ab, source=cfg.inputs[0])
+def _stability(args) -> Report:
+    seq = _corpus(args, args.input)
+    curve = stability_curve(seq, list(args.sizes), seed=args.seed if args.random else None)
+    return _table(
+        "size,total_variation,chi_square,rank_correlation",
+        [{"size": size, **asdict(d)} for size, d in curve],
+        [f"corpus length: {len(seq)}"]
+        + [f"  prefix {size:>8}: total variation {d.total_variation:.6f}" for size, d in curve],
+    )
+
+
+def _positions(args) -> Report:
+    words = _corpus(args, args.input, tokenize_words)
+    ab = words.alphabet
     ps = positional_stats(words)
-    sections = [
-        ("initial", ps.initial.counts),
-        ("final", ps.final.counts),
-        ("second", ps.second.counts),
-        ("penultimate", ps.penultimate.counts),
-        ("double", ps.doubles),
-    ]
-    if cfg.format == "csv":
-        lines = ["section,letter,count"]
-        for name, counts in sections:
-            for ch in ab.letters:
-                lines.append(f"{name},{ch},{counts[ch]}")
-        return "\n".join(lines) + "\n"
-    if cfg.format == "json":
-        return _json(
-            {
-                "words": ps.word_count,
-                **{name: {ch: counts[ch] for ch in ab.letters} for name, counts in sections},
-            }
-        )
+    sections = {name: getattr(ps, name).counts for name in ("initial", "final", "second", "penultimate")}
+    sections["double"] = ps.doubles
     lines = [f"words: {ps.word_count}"]
-    for name, counts in sections:
+    for name, counts in sections.items():
         top = sorted(ab.letters, key=lambda ch: (-counts[ch], ab.index(ch)))[:5]
-        shown = ", ".join(f"{ch}:{counts[ch]}" for ch in top)
-        lines.append(f"  {name:<12} {shown}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"  {name:<12} " + ", ".join(f"{ch}:{counts[ch]}" for ch in top))
+    return Report(
+        "section,letter,count",
+        [f"{name},{ch},{counts[ch]}" for name, counts in sections.items() for ch in ab.letters],
+        {
+            "words": ps.word_count,
+            **{name: {ch: counts[ch] for ch in ab.letters} for name, counts in sections.items()},
+        },
+        lines,
+    )
 
 
 # ---------------------------------------------------------------- style
 
 
-def _profile_row(p) -> dict:
-    return {
-        "vowel_count": p.vowel_count,
-        "consonant_count": p.consonant_count,
-        "vowel_share": p.vowel_share,
-        "vowels_per_100": p.vowels_per_100,
-    }
+def _opt6(v: float | int | None) -> str:
+    """Six decimals for a float, an int as is, and "" for an undefined value."""
+    if v is None:
+        return ""
+    return str(v) if isinstance(v, int) else f"{v:.6f}"
 
 
-def _fmt_opt(v: float | None) -> str:
-    return "" if v is None else f"{v:.6f}"
-
-
-def _cmd_style_vc(cfg: RunConfig) -> str:
-    p = vc_profile(_corpus(cfg))
-    if cfg.format == "csv":
-        return (
-            "vowel_count,consonant_count,vowel_share,vowels_per_100\n"
-            f"{p.vowel_count},{p.consonant_count},{_fmt_opt(p.vowel_share)},{_fmt_opt(p.vowels_per_100)}\n"
-        )
-    if cfg.format == "json":
-        return _json(_profile_row(p))
-    return (
-        f"vowels:     {p.vowel_count}\n"
-        f"consonants: {p.consonant_count}\n"
-        f"vowel share:    {_fmt_opt(p.vowel_share) or 'undefined'}\n"
-        f"vowels per 100: {_fmt_opt(p.vowels_per_100) or 'undefined'}\n"
-    )
-
-
-def _cmd_style_alberti(cfg: RunConfig) -> str:
-    p = vc_profile(_corpus(cfg))
-    v = alberti_test(p)
-    share6 = f"{float(v.vowel_share):.6f}"
-    if cfg.format == "csv":
-        return (
-            "vowel_share,poetry_threshold,above_poetry,orator_threshold,above_orator,label\n"
-            f"{share6},{POETRY_THRESHOLD},{str(v.above_poetry_threshold).lower()},"
-            f"{ORATOR_THRESHOLD},{str(v.above_orator_threshold).lower()},{v.label}\n"
-        )
-    if cfg.format == "json":
-        return _json(
-            {
-                "vowel_share": float(v.vowel_share),
-                "vowel_share_exact": str(v.vowel_share),
-                "poetry_threshold": str(POETRY_THRESHOLD),
-                "above_poetry_threshold": v.above_poetry_threshold,
-                "orator_threshold": str(ORATOR_THRESHOLD),
-                "above_orator_threshold": v.above_orator_threshold,
-                "label": v.label,
-            }
-        )
-    return (
-        f"vowel share {share6} ({v.vowel_share})\n"
-        f"  above poetry threshold {POETRY_THRESHOLD}: {'yes' if v.above_poetry_threshold else 'no'}\n"
-        f"  above orator threshold {ORATOR_THRESHOLD}: {'yes' if v.above_orator_threshold else 'no'}\n"
-        f"verdict: {v.label}\n"
-    )
-
-
-def _cmd_style_compare(cfg: RunConfig) -> str:
-    pa = vc_profile(_corpus(cfg, 0))
-    pb = vc_profile(_corpus(cfg, 1))
-    z, p = two_sample_proportion_test(pa, pb)
-    if cfg.format == "csv":
-        return f"z,p_value\n{_num(z)},{_num(p)}\n"
-    if cfg.format == "json":
-        return _json({"z": z, "p_value": p})
-    return f"z statistic: {_num(z)}\ntwo-sided p: {_num(p)}\n"
-
-
-def _cmd_style_compass(cfg: RunConfig) -> str:
-    seq = _corpus(cfg)
-    profiles = blocks_of(seq, block_size=cfg.block_size)
-    s = compass_of_variation(profiles)
-    if cfg.format == "csv":
-        return (
-            "minimum,median,maximum,sample_count\n"
-            f"{s.minimum:.6f},{s.median:.6f},{s.maximum:.6f},{s.sample_count}\n"
-        )
-    if cfg.format == "json":
-        return _json(
-            {
-                "minimum": s.minimum,
-                "median": s.median,
-                "maximum": s.maximum,
-                "sample_count": s.sample_count,
-            }
-        )
-    return (
-        f"vowels per 100 consonants over {s.sample_count} blocks of {cfg.block_size}:\n"
-        f"  minimum {s.minimum:.6f}\n  median  {s.median:.6f}\n  maximum {s.maximum:.6f}\n"
-    )
-
-
-def _cmd_lipogram(cfg: RunConfig) -> str:
-    if not cfg.reference:
-        raise InputError("lipogram requires --reference")
-    ab = _resolve_alphabet(cfg.alphabet)
-    observed = count_letters(normalize(_read_text(cfg.inputs[0]), ab, source=cfg.inputs[0]))
-    reference = count_letters(normalize(_read_text(cfg.reference), ab, source=cfg.reference))
-    flags = lipogram_scan(observed, reference, alpha=cfg.alpha)
-    rows = [
+def _style_vc(args) -> Report:
+    p = vc_profile(_corpus(args, args.input))
+    return _record(
         {
-            "letter": f.letter,
-            "observed": f.observed,
-            "expected": f.expected,
-            "p_value": f.p_value,
-        }
-        for f in flags
+            "vowel_count": p.vowel_count,
+            "consonant_count": p.consonant_count,
+            "vowel_share": p.vowel_share,
+            "vowels_per_100": p.vowels_per_100,
+        },
+        [
+            f"vowels:     {p.vowel_count}",
+            f"consonants: {p.consonant_count}",
+            f"vowel share:    {_opt6(p.vowel_share) or 'undefined'}",
+            f"vowels per 100: {_opt6(p.vowels_per_100) or 'undefined'}",
+        ],
+        cell=_opt6,
+    )
+
+
+def _style_alberti(args) -> Report:
+    v = alberti_test(vc_profile(_corpus(args, args.input)))
+    share6 = f"{float(v.vowel_share):.6f}"
+    poetry, orator = str(v.above_poetry_threshold).lower(), str(v.above_orator_threshold).lower()
+    return Report(
+        "vowel_share,poetry_threshold,above_poetry,orator_threshold,above_orator,label",
+        [f"{share6},{POETRY_THRESHOLD},{poetry},{ORATOR_THRESHOLD},{orator},{v.label}"],
+        {
+            "vowel_share": float(v.vowel_share),
+            "vowel_share_exact": str(v.vowel_share),
+            "poetry_threshold": str(POETRY_THRESHOLD),
+            "above_poetry_threshold": v.above_poetry_threshold,
+            "orator_threshold": str(ORATOR_THRESHOLD),
+            "above_orator_threshold": v.above_orator_threshold,
+            "label": v.label,
+        },
+        [
+            f"vowel share {share6} ({v.vowel_share})",
+            f"  above poetry threshold {POETRY_THRESHOLD}: {'yes' if v.above_poetry_threshold else 'no'}",
+            f"  above orator threshold {ORATOR_THRESHOLD}: {'yes' if v.above_orator_threshold else 'no'}",
+            f"verdict: {v.label}",
+        ],
+    )
+
+
+def _style_compare(args) -> Report:
+    a, b = vc_profile(_corpus(args, args.input0)), vc_profile(_corpus(args, args.input1))
+    z, p = two_sample_proportion_test(a, b)
+    return _record({"z": z, "p_value": p}, [f"z statistic: {_num(z)}", f"two-sided p: {_num(p)}"])
+
+
+def _style_compass(args) -> Report:
+    s = compass_of_variation(blocks_of(_corpus(args, args.input), block_size=args.block_size))
+    return _record(
+        asdict(s),
+        [
+            f"vowels per 100 consonants over {s.sample_count} blocks of {args.block_size}:",
+            f"  minimum {s.minimum:.6f}",
+            f"  median  {s.median:.6f}",
+            f"  maximum {s.maximum:.6f}",
+        ],
+        cell=_opt6,
+    )
+
+
+def _lipogram(args) -> Report:
+    observed = count_letters(_corpus(args, args.input))
+    reference = count_letters(_corpus(args, args.reference))
+    flags = lipogram_scan(observed, reference, alpha=args.alpha)
+    lines = [f"{len(flags)} letter(s) flagged at alpha {_num(args.alpha)} (Bonferroni-corrected):"]
+    lines += [
+        f"  {f.letter}: observed {f.observed}, expected {f.expected:.1f}, p {_num(f.p_value)}" for f in flags
     ]
-    if cfg.format == "csv":
-        lines = ["letter,observed,expected,p_value"]
-        for r in rows:
-            lines.append(f"{r['letter']},{r['observed']},{_num(r['expected'])},{_num(r['p_value'])}")
-        return "\n".join(lines) + "\n"
-    if cfg.format == "json":
-        return _json(rows)
-    if not rows:
-        return "no letters flagged\n"
-    lines = [f"{len(rows)} letter(s) flagged at alpha {_num(cfg.alpha)} (Bonferroni-corrected):"]
-    for r in rows:
-        lines.append(
-            f"  {r['letter']}: observed {r['observed']}, expected {r['expected']:.1f}, "
-            f"p {_num(r['p_value'])}"
-        )
-    return "\n".join(lines) + "\n"
+    return _table(
+        "letter,observed,expected,p_value",
+        [asdict(f) for f in flags],
+        lines if flags else ["no letters flagged"],
+    )
 
 
 # ---------------------------------------------------------------- markov
 
 
-def _cmd_markov_test(cfg: RunConfig) -> str:
-    seq = _corpus(cfg)
-    if len(seq) < 2:
-        raise InputError("markov test needs at least two letters")
-    report = independence_test(fit_transitions(to_vc_sequence(seq)))
-    d = report.to_json_dict()
-    if cfg.format == "csv":
-        keys = list(d)
-        return ",".join(keys) + "\n" + ",".join(_num(d[k]) if isinstance(d[k], float) else str(d[k]) for k in keys) + "\n"
-    if cfg.format == "json":
-        return _json(d)
-    return (
-        f"chi-square: {_num(d['chi_square'])} (df {d['df']})\n"
-        f"p-value:    {_num(d['p_value'])}\n"
-        f"P(V->V) {d['p_vv']:.6f}  P(V->C) {d['p_vc']:.6f}\n"
-        f"P(C->V) {d['p_cv']:.6f}  P(C->C) {d['p_cc']:.6f}\n"
+def _markov_test(args) -> Report:
+    d = independence_test(fit_transitions(to_vc_sequence(_corpus(args, args.input)))).to_json_dict()
+    return _record(
+        d,
+        [
+            f"chi-square: {_num(d['chi_square'])} (df {d['df']})",
+            f"p-value:    {_num(d['p_value'])}",
+            f"P(V->V) {d['p_vv']:.6f}  P(V->C) {d['p_vc']:.6f}",
+            f"P(C->V) {d['p_cv']:.6f}  P(C->C) {d['p_cc']:.6f}",
+        ],
     )
 
 
-def _cmd_entropy(cfg: RunConfig) -> str:
-    seq = _corpus(cfg)
+def _entropy(args) -> Report:
+    seq = _corpus(args, args.input)
     rep = entropy_estimates(count_letters(seq), count_digrams(seq))
-    if cfg.format == "csv":
-        return f"h0,h1,h2\n{_num(rep.h0)},{_num(rep.h1)},{_num(rep.h2)}\n"
-    if cfg.format == "json":
-        return _json({"h0": rep.h0, "h1": rep.h1, "h2": rep.h2})
-    return (
-        f"h0 (alphabet size):      {rep.h0:.6f} bits/letter\n"
-        f"h1 (letter frequencies): {rep.h1:.6f} bits/letter\n"
-        f"h2 (digram conditional): {rep.h2:.6f} bits/letter\n"
+    return _record(
+        asdict(rep),
+        [
+            f"h0 (alphabet size):      {rep.h0:.6f} bits/letter",
+            f"h1 (letter frequencies): {rep.h1:.6f} bits/letter",
+            f"h2 (digram conditional): {rep.h2:.6f} bits/letter",
+        ],
     )
 
 
-def _cmd_generate(cfg: RunConfig) -> str:
-    ab = _resolve_alphabet(cfg.alphabet)
-    if (cfg.model is None) == (cfg.vc_corpus is None):
+def _generate(args) -> Report:
+    if (args.model is None) == (args.vc_corpus is None):
         raise InputError("generate requires exactly one of --model or --vc-corpus")
-    if cfg.model is not None:
-        model = LanguageModel.load(cfg.model, ab)
-        out = generate(model, cfg.length, seed=cfg.seed, order=cfg.order)
-        rendered = out.symbols
-        mode = f"order-{cfg.order}"
+    if args.model is not None:
+        model = LanguageModel.load(args.model, _resolve_alphabet(args.alphabet))
+        sequence = generate(model, args.length, seed=args.seed, order=args.order).symbols
+        mode = f"order-{args.order}"
     else:
-        seq = normalize(_read_text(cfg.vc_corpus), ab, source=cfg.vc_corpus)
-        if len(seq) < 2:
-            raise InputError("vc corpus needs at least two letters")
-        out = generate(fit_transitions(to_vc_sequence(seq)), cfg.length, seed=cfg.seed)
-        rendered = out.states
+        chain = fit_transitions(to_vc_sequence(_corpus(args, args.vc_corpus)))
+        sequence = generate(chain, args.length, seed=args.seed).states
         mode = "vc-chain"
-    if cfg.format == "csv":
-        return f"mode,order,length,seed,sequence\n{mode},{cfg.order},{cfg.length},{cfg.seed},{rendered}\n"
-    if cfg.format == "json":
-        return _json({"mode": mode, "length": cfg.length, "seed": cfg.seed, "sequence": rendered})
-    return rendered + "\n"
+    return Report(
+        "mode,order,length,seed,sequence",
+        [f"{mode},{args.order},{args.length},{args.seed},{sequence}"],
+        {"mode": mode, "length": args.length, "seed": args.seed, "sequence": sequence},
+        [sequence],
+    )
 
 
-def _cmd_zipf(cfg: RunConfig) -> str:
-    ab = _resolve_alphabet(cfg.alphabet)
-    words = tokenize_words(_read_text(cfg.inputs[0]), ab, source=cfg.inputs[0])
-    rf = word_rank_frequency(words)
+def _zipf(args) -> Report:
+    rf = word_rank_frequency(_corpus(args, args.input, tokenize_words))
     try:
-        fit = fit_power_law(rf, min_count=cfg.min_count)
+        fit = fit_power_law(rf, min_count=args.min_count)
     except InputError:
         fit = None
-    if cfg.format == "csv":
-        lines = ["rank,word,count"]
-        for e in rf.entries:
-            lines.append(f"{e.rank},{e.word},{e.count}")
-        return "\n".join(lines) + "\n"
-    if cfg.format == "json":
-        return _json(
-            {
-                "entries": [{"rank": e.rank, "word": e.word, "count": e.count} for e in rf.entries],
-                "fit": fit.to_json_dict() if fit else None,
-            }
-        )
     lines = [f"{len(rf.entries)} distinct words, {rf.total} tokens; top 10:"]
-    for e in rf.entries[:10]:
-        lines.append(f"  {e.rank:>4}  {e.word:<20} {e.count}")
+    lines += [f"  {e.rank:>4}  {e.word:<20} {e.count}" for e in rf.entries[:10]]
     if fit:
         lines.append(
             f"fit: exponent {_num(fit.exponent)}, r^2 {fit.r_squared:.6f}, "
-            f"{fit.points_used} points (count >= {cfg.min_count})"
+            f"{fit.points_used} points (count >= {args.min_count})"
         )
     else:
-        lines.append(f"fit: not enough entries with count >= {cfg.min_count}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"fit: not enough entries with count >= {args.min_count}")
+    return Report(
+        "rank,word,count",
+        [f"{e.rank},{e.word},{e.count}" for e in rf.entries],
+        {
+            "entries": [asdict(e) for e in rf.entries],
+            "fit": fit.to_json_dict() if fit else None,
+        },
+        lines,
+    )
 
 
 # ---------------------------------------------------------------- cipher
 
 
-def _cmd_solve(cfg: RunConfig) -> str:
-    if not cfg.model:
+def _solve(args) -> Report:
+    if not args.model:
         raise InputError("solve requires --model")
-    ab = _resolve_alphabet(cfg.alphabet)
-    model = LanguageModel.load(cfg.model, ab)
-    cryptogram = parse_cryptogram(_read_text(cfg.inputs[0]), ab, source=cfg.inputs[0])
+    ab = _resolve_alphabet(args.alphabet)
+    model = LanguageModel.load(args.model, ab)
+    cryptogram = _corpus(args, args.input, parse_cryptogram)
     report = hill_climb_solve(
-        cryptogram,
-        model,
-        restarts=cfg.restarts,
-        seed=cfg.seed,
-        warning_threshold=cfg.length_threshold,
+        cryptogram, model, restarts=args.restarts, seed=args.seed, warning_threshold=args.length_threshold
     )
-    warning = (
-        None
-        if report.length_warning is None
-        else {"length": report.length_warning.length, "threshold": report.length_warning.threshold}
-    )
+    warning = report.length_warning
     key_string = report.best_key.target_string()
-    if cfg.format == "csv":
-        lines = [
-            "field,value",
+    return Report(
+        "field,value",
+        [
             f"best_score,{_num(report.best_score)}",
             f"restarts_run,{report.restarts_run}",
-            f"length_warning,{'' if warning is None else warning['length']}",
+            f"length_warning,{'' if warning is None else warning.length}",
             f"key,{key_string}",
             f"plaintext,{report.plaintext.symbols}",
+        ],
+        {
+            "best_score": report.best_score,
+            "restarts_run": report.restarts_run,
+            "length_warning": None if warning is None else asdict(warning),
+            "key": {ch: report.best_key.mapping[ch] for ch in ab.letters},
+            "plaintext": report.plaintext.symbols,
+        },
+        [
+            f"best score: {_num(report.best_score)} over {report.restarts_run} restarts",
+            f"key (plain {''.join(ab.letters)}):",
+            f"     cipher {key_string}",
+            "plaintext:",
+            report.plaintext.symbols,
         ]
-        return "\n".join(lines) + "\n"
-    if cfg.format == "json":
-        return _json(
-            {
-                "best_score": report.best_score,
-                "restarts_run": report.restarts_run,
-                "length_warning": warning,
-                "key": {ch: report.best_key.mapping[ch] for ch in ab.letters},
-                "plaintext": report.plaintext.symbols,
-            }
-        )
-    lines = [
-        f"best score: {_num(report.best_score)} over {report.restarts_run} restarts",
-        f"key (plain {''.join(ab.letters)}):",
-        f"     cipher {key_string}",
-        "plaintext:",
-        report.plaintext.symbols,
-    ]
-    if warning is not None:
-        lines.append(report.length_warning.message())
-    return "\n".join(lines) + "\n"
+        + ([] if warning is None else [warning.message()]),
+    )
 
 
-def _cmd_train_model(cfg: RunConfig) -> str:
-    if not cfg.out:
+def _train_model(args) -> Report:
+    if not args.out:
         raise InputError("train-model requires --out")
-    seq = _corpus(cfg)
+    seq = _corpus(args, args.input)
     if len(seq) == 0:
         raise InputError("empty corpus")
     model = LanguageModel.train(seq)
-    upath, dpath = model.save(cfg.out)
-    if cfg.format == "csv":
-        return f"file,letters\n{upath},{model.unigram.total}\n{dpath},{model.digram.total}\n"
-    if cfg.format == "json":
-        return _json(
-            {
-                "unigram": upath,
-                "digram": dpath,
-                "letters": model.unigram.total,
-                "digrams": model.digram.total,
-            }
-        )
-    return f"wrote {upath} ({model.unigram.total} letters) and {dpath} ({model.digram.total} digrams)\n"
-
-
-_HANDLERS = {
-    "count": _cmd_count,
-    "digrams": _cmd_digrams,
-    "compare": _cmd_compare,
-    "stability": _cmd_stability,
-    "positions": _cmd_positions,
-    "style vc": _cmd_style_vc,
-    "style alberti": _cmd_style_alberti,
-    "style compare": _cmd_style_compare,
-    "style compass": _cmd_style_compass,
-    "lipogram": _cmd_lipogram,
-    "markov test": _cmd_markov_test,
-    "entropy": _cmd_entropy,
-    "generate": _cmd_generate,
-    "zipf": _cmd_zipf,
-    "solve": _cmd_solve,
-    "train-model": _cmd_train_model,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Execute one subcommand; returns the process exit status."""
-    handler = _HANDLERS[config.subcommand]
-    sys.stdout.write(handler(config))
-    return 0
-
-
-# table-like commands default to csv, report-like commands to json,
-# narrative ones to text; --format always overrides
-_DEFAULT_FORMATS = {
-    "count": "csv",
-    "digrams": "csv",
-    "stability": "csv",
-    "positions": "csv",
-    "lipogram": "csv",
-    "zipf": "csv",
-    "solve": "json",
-    "markov test": "json",
-    "entropy": "json",
-}
-
-
-def _add_common(p: argparse.ArgumentParser, command: str):
-    p.add_argument("--alphabet", default="en", help="builtin name or spec file path")
-    p.add_argument(
-        "--format",
-        default=_DEFAULT_FORMATS.get(command, "text"),
-        choices=FORMATS,
+    upath, dpath = model.save(args.out)
+    letters, digrams = model.unigram.total, model.digram.total
+    return Report(
+        "file,letters",
+        [f"{upath},{letters}", f"{dpath},{digrams}"],
+        {"unigram": upath, "digram": dpath, "letters": letters, "digrams": digrams},
+        [f"wrote {upath} ({letters} letters) and {dpath} ({digrams} digrams)"],
     )
-    p.add_argument("--seed", type=int, default=0, help="64-bit seed for randomized steps")
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
@@ -618,123 +426,120 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"--sizes must be a comma list of integers, got {text!r}")
 
 
+@dataclass(frozen=True)
+class Command:
+    """One subcommand. `name` is "group leaf" for commands under a group;
+    `options` maps each extra flag to its `add_argument` keywords."""
+
+    name: str
+    help: str
+    run: Callable[[argparse.Namespace], Report]
+    inputs: int = 1
+    # table-like commands default to csv, report-like commands to json,
+    # narrative ones to text; --format always overrides
+    default_format: str = "text"
+    options: dict = field(default_factory=dict)
+
+
+GROUPS = {"style": "vowel/consonant stylometry", "markov": "vowel/consonant chain analyses"}
+
+COMMANDS = (
+    Command("count", "letter frequency table with ranks", _count, default_format="csv"),
+    Command("digrams", "digram frequency table", _digrams, default_format="csv"),
+    Command("compare", "distance between two corpora's letter tables", _compare, inputs=2),
+    Command(
+        "stability",
+        "sample-size distance to the full-corpus table",
+        _stability,
+        default_format="csv",
+        options={
+            "--sizes": dict(type=_parse_sizes, required=True, help="comma list of prefix lengths"),
+            "--random": dict(action="store_true", help="draw seeded random subsamples instead of prefixes"),
+        },
+    ),
+    Command("positions", "word-position letter statistics", _positions, default_format="csv"),
+    Command("style vc", "vowel/consonant profile", _style_vc),
+    Command("style alberti", "poetry/orator threshold verdict", _style_alberti),
+    Command("style compare", "two-sample vowel share z-test", _style_compare, inputs=2),
+    Command(
+        "style compass",
+        "spread of vowels-per-100 over fixed blocks",
+        _style_compass,
+        options={"--block-size": dict(type=int, default=1000)},
+    ),
+    Command(
+        "lipogram",
+        "flag suspiciously underused letters",
+        _lipogram,
+        default_format="csv",
+        options={
+            "--reference": dict(required=True, help="reference corpus file"),
+            "--alpha": dict(type=float, default=0.01),
+        },
+    ),
+    Command("markov test", "chi-square test of serial independence", _markov_test, default_format="json"),
+    Command("entropy", "order-0/1/2 entropy estimates", _entropy, default_format="json"),
+    Command(
+        "generate",
+        "sample text from a fitted model",
+        _generate,
+        inputs=0,
+        options={
+            "--model": dict(help="model file prefix (from train-model)"),
+            "--vc-corpus": dict(help="fit a V/C chain from this corpus instead"),
+            "--order": dict(type=int, default=1, choices=(0, 1)),
+            "--length": dict(type=int, required=True),
+        },
+    ),
+    Command(
+        "zipf",
+        "word rank-frequency table and power-law fit",
+        _zipf,
+        default_format="csv",
+        options={"--min-count": dict(type=int, default=5)},
+    ),
+    Command(
+        "solve",
+        "break a monoalphabetic substitution cipher",
+        _solve,
+        default_format="json",
+        options={
+            "--model": dict(required=True, help="model file prefix (from train-model)"),
+            "--restarts": dict(type=int, default=20),
+            "--length-threshold": dict(type=int, default=90),
+        },
+    ),
+    Command(
+        "train-model",
+        "count unigram/digram tables into model CSV files",
+        _train_model,
+        options={"--out": dict(required=True, help="output file prefix")},
+    ),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="letterlab",
         description="Letter counting, frequency cryptanalysis, stylometry, and text statistics.",
     )
     parser.add_argument("--version", action="version", version=f"letterlab {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, inputs=1, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        _add_common(p, name)
-        for i in range(inputs):
-            p.add_argument(f"input{i}" if inputs > 1 else "input", help="corpus file or - for stdin")
-        return p
-
-    add("count", help="letter frequency table with ranks")
-    add("digrams", help="digram frequency table")
-    add("compare", inputs=2, help="distance between two corpora's letter tables")
-
-    p = add("stability", help="sample-size distance to the full-corpus table")
-    p.add_argument("--sizes", type=_parse_sizes, required=True, help="comma list of prefix lengths")
-    p.add_argument(
-        "--random",
-        dest="random_samples",
-        action="store_true",
-        help="draw seeded random subsamples instead of prefixes",
-    )
-
-    add("positions", help="word-position letter statistics")
-
-    style = sub.add_parser("style", help="vowel/consonant stylometry")
-    style_sub = style.add_subparsers(dest="style_command", required=True)
-
-    p = style_sub.add_parser("vc", help="vowel/consonant profile")
-    _add_common(p, "style vc")
-    p.add_argument("input")
-    p = style_sub.add_parser("alberti", help="poetry/orator threshold verdict")
-    _add_common(p, "style alberti")
-    p.add_argument("input")
-    p = style_sub.add_parser("compare", help="two-sample vowel share z-test")
-    _add_common(p, "style compare")
-    p.add_argument("input0")
-    p.add_argument("input1")
-    p = style_sub.add_parser("compass", help="spread of vowels-per-100 over fixed blocks")
-    _add_common(p, "style compass")
-    p.add_argument("input")
-    p.add_argument("--block-size", type=int, default=1000)
-
-    p = add("lipogram", help="flag suspiciously underused letters")
-    p.add_argument("--reference", required=True, help="reference corpus file")
-    p.add_argument("--alpha", type=float, default=0.01)
-
-    markov = sub.add_parser("markov", help="vowel/consonant chain analyses")
-    markov_sub = markov.add_subparsers(dest="markov_command", required=True)
-    p = markov_sub.add_parser("test", help="chi-square test of serial independence")
-    _add_common(p, "markov test")
-    p.add_argument("input")
-
-    add("entropy", help="order-0/1/2 entropy estimates")
-
-    p = sub.add_parser("generate", help="sample text from a fitted model")
-    _add_common(p, "generate")
-    p.add_argument("--model", help="model file prefix (from train-model)")
-    p.add_argument("--vc-corpus", help="fit a V/C chain from this corpus instead")
-    p.add_argument("--order", type=int, default=1, choices=(0, 1))
-    p.add_argument("--length", type=int, required=True)
-
-    p = add("zipf", help="word rank-frequency table and power-law fit")
-    p.add_argument("--min-count", type=int, default=5)
-
-    p = add("solve", help="break a monoalphabetic substitution cipher")
-    p.add_argument("--model", required=True, help="model file prefix (from train-model)")
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--length-threshold", type=int, default=90)
-
-    p = add("train-model", help="count unigram/digram tables into model CSV files")
-    p.add_argument("--out", required=True, help="output file prefix")
-
+    subparsers = {"": parser.add_subparsers(dest="subcommand", required=True)}
+    for command in COMMANDS:
+        group, _, leaf = command.name.rpartition(" ")
+        if group not in subparsers:
+            p = subparsers[""].add_parser(group, help=GROUPS[group])
+            subparsers[group] = p.add_subparsers(dest=f"{group}_command", required=True)
+        p = subparsers[group].add_parser(leaf, help=command.help)
+        p.set_defaults(command=command)
+        p.add_argument("--alphabet", default="en", help="builtin name or spec file path")
+        p.add_argument("--format", default=command.default_format, choices=FORMATS)
+        p.add_argument("--seed", type=int, default=0, help="64-bit seed for randomized steps")
+        for i in range(command.inputs):
+            p.add_argument(f"input{i}" if command.inputs > 1 else "input", help="corpus file or - for stdin")
+        for flag, kwargs in command.options.items():
+            p.add_argument(flag, **kwargs)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    sub = args.subcommand
-    if sub == "style":
-        sub = f"style {args.style_command}"
-    elif sub == "markov":
-        sub = f"markov {args.markov_command}"
-    inputs = []
-    for name in ("input", "input0", "input1"):
-        if hasattr(args, name):
-            inputs.append(getattr(args, name))
-    kwargs = {}
-    for cfg_name, arg_name in [
-        ("alpha", "alpha"),
-        ("min_count", "min_count"),
-        ("restarts", "restarts"),
-        ("sizes", "sizes"),
-        ("model", "model"),
-        ("out", "out"),
-        ("order", "order"),
-        ("length", "length"),
-        ("reference", "reference"),
-        ("block_size", "block_size"),
-        ("vc_corpus", "vc_corpus"),
-        ("length_threshold", "length_threshold"),
-        ("random_samples", "random_samples"),
-    ]:
-        if hasattr(args, arg_name) and getattr(args, arg_name) is not None:
-            kwargs[cfg_name] = getattr(args, arg_name)
-    return RunConfig(
-        subcommand=sub,
-        alphabet=args.alphabet,
-        inputs=tuple(inputs),
-        format=args.format,
-        seed=args.seed,
-        **kwargs,
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -744,14 +549,18 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return run(_config_from_args(args))
-    except InputError as exc:
-        print(f"letterlab: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        if not 0 <= args.seed < SEED_LIMIT:
+            raise InputError(f"seed must be in 0..{SEED_LIMIT - 1}, got {args.seed}")
+        sys.stdout.write(args.command.run(args).render(args.format))
+        return 0
+    except (InputError, OSError) as exc:
         print(f"letterlab: error: {exc}", file=sys.stderr)
         return 1
 
 
 def entrypoint():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -18,6 +18,7 @@ from statistics import NormalDist
 
 from .alphabet import Alphabet, LetterSequence, WordSequence
 from .errors import InputError
+from .rng import substream
 
 
 @dataclass(frozen=True)
@@ -331,22 +332,34 @@ def positional_stats(words: WordSequence) -> PositionalStats:
 
 
 def stability_curve(
-    seq: LetterSequence, sizes: list[int]
+    seq: LetterSequence, sizes: list[int], seed: int | None = None
 ) -> list[tuple[int, TableDistance]]:
-    """Distance of prefix tables to the full-corpus table, per sample size.
+    """Distance of sample tables to the full-corpus table, per sample size.
 
-    Prefixes keep the curve deterministic; at size == len(seq) every
-    distance is exactly zero.
+    With `seed` None each sample is a prefix, which keeps the curve
+    deterministic; at size == len(seq) every distance is exactly zero.
+    With a seed, the k-th sample is a selection sample of its size: a
+    partial Fisher-Yates shuffle of the symbols driven by substream k of
+    the seed, so each entry is independent of the other sizes asked for.
     """
     full = count_letters(seq)
     if full.total == 0:
         raise InputError("empty corpus")
     out = []
-    for size in sizes:
+    for k, size in enumerate(sizes):
         if size <= 0:
             raise InputError(f"sample size must be positive, got {size}")
         if size > len(seq.symbols):
             raise InputError(f"sample size {size} exceeds corpus length {len(seq.symbols)}")
-        prefix = LetterSequence(seq.alphabet, seq.symbols[:size], source=f"{seq.source}[:{size}]")
-        out.append((size, compare_tables(count_letters(prefix), full)))
+        if seed is None:
+            sample = LetterSequence(seq.alphabet, seq.symbols[:size], source=f"{seq.source}[:{size}]")
+        else:
+            rng = substream(seed, k)
+            pool = list(seq.symbols)
+            n = len(pool)
+            for i in range(size):
+                j = i + rng.next_below(n - i)
+                pool[i], pool[j] = pool[j], pool[i]
+            sample = LetterSequence(seq.alphabet, "".join(pool[:size]), source=f"{seq.source} sample")
+        out.append((size, compare_tables(count_letters(sample), full)))
     return out

@@ -300,3 +300,21 @@ def test_model_load_rejects_bad_header(tmp_path, en):
     (tmp_path / "m.digram.csv").write_text("first,second,count\n", encoding="utf-8")
     with pytest.raises(InputError):
         LanguageModel.load(str(tmp_path / "m"), en)
+    (tmp_path / "m.unigram.csv").write_bytes("letter,count\n".encode("utf-16"))
+    with pytest.raises(InputError, match="cannot decode"):
+        LanguageModel.load(str(tmp_path / "m"), en)
+
+
+@pytest.mark.parametrize(
+    "unigram, digram, message",
+    [
+        ("letter,count\na,3\nb,1\na,2\n", "first,second,count\n", "unigram file line 4: repeated letter 'a'"),
+        ("letter,count\na,3\n", "first,second,count\na,b,1\na,b,1\n", "digram file line 3: repeated pair 'ab'"),
+    ],
+    ids=["unigram", "digram"],
+)
+def test_model_load_rejects_repeated_rows(tmp_path, en, unigram, digram, message):
+    (tmp_path / "m.unigram.csv").write_text(unigram, encoding="utf-8")
+    (tmp_path / "m.digram.csv").write_text(digram, encoding="utf-8")
+    with pytest.raises(InputError, match=message):
+        LanguageModel.load(str(tmp_path / "m"), en)

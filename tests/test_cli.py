@@ -239,3 +239,43 @@ def test_version_and_help(capsys):
     assert "letterlab" in out
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_seed_outside_u64_is_a_data_error(capsys):
+    for seed in (-1, 2**64, 2**64 + 7):
+        code, out, err = run_cli(capsys, "count", PLAINTEXT, "--seed", str(seed))
+        assert code == 1 and out == "" and err.startswith("letterlab: error: seed")
+    code, out, _ = run_cli(capsys, "count", PLAINTEXT, "--seed", str(2**64 - 1))
+    assert code == 0 and out
+
+
+def test_undecodable_input_is_a_data_error(capsys, monkeypatch, tmp_path):
+    import io
+
+    raw = b"\xff\xfeh\x00i\x00"  # UTF-16 with a byte order mark
+    bad = tmp_path / "utf16.txt"
+    bad.write_bytes(raw)
+    code, out, err = run_cli(capsys, "count", str(bad))
+    assert code == 1 and out == "" and err.startswith("letterlab: error: cannot decode")
+
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    code, out, err = run_cli(capsys, "count", "-")
+    assert code == 1 and out == "" and err.startswith("letterlab: error: cannot decode '-'")
+
+
+def test_module_runs_as_script():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "letterlab.cli", "count", PLAINTEXT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stdout.startswith("letter,count,proportion,rank\n")

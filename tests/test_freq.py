@@ -239,8 +239,19 @@ def test_words_rarely_end_in_i(en):
 
 def test_stability_curve_full_length_is_zero(en):
     s = seq(en, "abcabcabc")
-    (size, d), = stability_curve(s, [9])
-    assert size == 9 and d.total_variation == 0.0
+    for seed in (None, 3):
+        (size, d), = stability_curve(s, [9], seed=seed)
+        assert size == 9 and d.total_variation == 0.0
+
+
+def test_stability_curve_seeded_samples(en, analysis_corpus):
+    s = LetterSequence(en, analysis_corpus.symbols[:5000])
+    curve = stability_curve(s, [90, 1000], seed=4)
+    assert curve == stability_curve(s, [90, 1000], seed=4)
+    assert curve != stability_curve(s, [90, 1000], seed=5)
+    assert curve != stability_curve(s, [90, 1000])
+    # the k-th sample depends on the seed, k and its size only
+    assert curve[1] == stability_curve(s, [500, 1000], seed=4)[1]
 
 
 def test_stability_curve_size_one(en):
@@ -256,6 +267,8 @@ def test_stability_curve_errors(en):
         stability_curve(s, [4])
     with pytest.raises(InputError):
         stability_curve(s, [0])
+    with pytest.raises(InputError):
+        stability_curve(s, [1, 4], seed=1)
 
 
 def test_frequency_table_csv_round_numbers(en):
