@@ -7,6 +7,10 @@ characters onto letters (or discarding them). :func:`normalize` turns
 raw text into a :class:`LetterSequence`; :func:`tokenize_words` splits
 it into maximal letter runs.
 
+Both run on one self-filling ``str.translate`` table (lowercase, fold,
+keep letters). :func:`encode` turns symbols into their positions in an
+inventory, the integer array every counter in the package works on.
+
 Alphabets can be defined in a small line-oriented document::
 
     # comment
@@ -24,6 +28,8 @@ so fold sources are stored lowercased. Builtin names ("en",
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import InputError
 
@@ -91,9 +97,7 @@ class LetterSequence:
     source: str = field(default="", compare=False)
 
     def __post_init__(self):
-        for ch in self.symbols:
-            if ch not in self.alphabet:
-                raise InputError(f"symbol {ch!r} not in alphabet {self.alphabet.name!r}")
+        _check_letters(self.symbols, self.alphabet)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -108,12 +112,9 @@ class WordSequence:
     source: str = field(default="", compare=False)
 
     def __post_init__(self):
-        for w in self.words:
-            if not w:
-                raise InputError("empty word")
-            for ch in w:
-                if ch not in self.alphabet:
-                    raise InputError(f"symbol {ch!r} not in alphabet {self.alphabet.name!r}")
+        if "" in self.words:
+            raise InputError("empty word")
+        _check_letters("".join(self.words), self.alphabet)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -274,13 +275,40 @@ def builtin_alphabet(name: str) -> Alphabet:
     return load_alphabet(spec)
 
 
-def _mapped(ch: str, alphabet: Alphabet) -> str | None:
-    """Lowercase, apply fold rules, keep only alphabet letters."""
-    ch = ch.lower()
-    ch = alphabet.folds.get(ch, ch)
-    if ch is not None and ch in alphabet:
-        return ch
-    return None
+def first_foreign(symbols: str, inventory) -> str | None:
+    """The first symbol of `symbols` that is not in `inventory`, or None."""
+    foreign = set(symbols).difference(inventory)
+    return min(foreign, key=symbols.index) if foreign else None
+
+
+def _check_letters(symbols: str, alphabet: Alphabet) -> None:
+    ch = first_foreign(symbols, alphabet.letters)
+    if ch is not None:
+        raise InputError(f"symbol {ch!r} not in alphabet {alphabet.name!r}")
+
+
+def encode(symbols: str, inventory) -> np.ndarray:
+    """Position of each symbol in `inventory` (distinct characters that include every symbol)."""
+    points = np.frombuffer("".join(inventory).encode("utf-32-le"), dtype="<u4")
+    lookup = np.zeros(int(points.max()) + 1, dtype=np.intp)
+    lookup[points] = np.arange(len(points))
+    return lookup[np.frombuffer(symbols.encode("utf-32-le"), dtype="<u4")]
+
+
+class _LetterTable(dict):
+    """``str.translate`` table, filled on demand: a character is lowercased
+    (``İ`` gives two characters) and folded, and kept if it is then a
+    letter; any other character becomes `discard` (None deletes it)."""
+
+    def __init__(self, alphabet: Alphabet, discard: str | None = None):
+        self.alphabet = alphabet
+        self.discard = discard
+
+    def __missing__(self, code: int) -> str | None:
+        ch = chr(code).lower()
+        ch = self.alphabet.folds.get(ch, ch)
+        self[code] = letter = ch if ch is not None and ch in self.alphabet else self.discard
+        return letter
 
 
 def normalize(raw: str, alphabet: Alphabet, source: str = "text") -> LetterSequence:
@@ -290,15 +318,8 @@ def normalize(raw: str, alphabet: Alphabet, source: str = "text") -> LetterSeque
     letters; everything else is discarded (the discard count lands in
     the provenance label). Idempotent on its own rendered output.
     """
-    out: list[str] = []
-    discarded = 0
-    for ch in raw:
-        m = _mapped(ch, alphabet)
-        if m is None:
-            discarded += 1
-        else:
-            out.append(m)
-    return LetterSequence(alphabet, "".join(out), source=f"{source} (discarded {discarded})")
+    symbols = raw.translate(_LetterTable(alphabet))
+    return LetterSequence(alphabet, symbols, source=f"{source} (discarded {len(raw) - len(symbols)})")
 
 
 def tokenize_words(raw: str, alphabet: Alphabet, source: str = "text") -> WordSequence:
@@ -308,16 +329,7 @@ def tokenize_words(raw: str, alphabet: Alphabet, source: str = "text") -> WordSe
     discard folds, apostrophes, hyphens) ends the current word, so the
     concatenation of the words equals ``normalize(raw).symbols``.
     """
-    words: list[str] = []
-    current: list[str] = []
-    for ch in raw:
-        m = _mapped(ch, alphabet)
-        if m is None:
-            if current:
-                words.append("".join(current))
-                current = []
-        else:
-            current.append(m)
-    if current:
-        words.append("".join(current))
-    return WordSequence(alphabet, tuple(words), source=source)
+    # one of the first len + 1 code points is no letter
+    gap = min(set(map(chr, range(len(alphabet) + 1))).difference(alphabet.letters))
+    words = raw.translate(_LetterTable(alphabet, discard=gap)).split(gap)
+    return WordSequence(alphabet, tuple(filter(None, words)), source=source)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alphabet import Alphabet, LetterSequence
+from .alphabet import Alphabet, LetterSequence, encode, first_foreign
 from .errors import InputError
 from .freq import DigramTable, FrequencyTable, count_digrams, count_letters, rank_order
 from .rng import substream
@@ -91,10 +91,9 @@ class Cryptogram:
             raise InputError("symbol inventory must match the alphabet size")
         if len(set(self.symbol_set)) != len(self.symbol_set):
             raise InputError("symbol inventory must be distinct")
-        inventory = set(self.symbol_set)
-        for ch in self.symbols:
-            if ch not in inventory:
-                raise InputError(f"cryptogram symbol {ch!r} outside the expected inventory")
+        ch = first_foreign(self.symbols, self.symbol_set)
+        if ch is not None:
+            raise InputError(f"cryptogram symbol {ch!r} outside the expected inventory")
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -136,14 +135,6 @@ class LanguageModel:
     def train(cls, seq: LetterSequence, smoothing: float = 0.5) -> "LanguageModel":
         return cls(unigram=count_letters(seq), digram=count_digrams(seq), smoothing=smoothing)
 
-    def log_prob(self, first: str, second: str) -> float:
-        """Smoothed log probability of `second` following `first`."""
-        lam = self.smoothing
-        size = len(self.alphabet.letters)
-        num = self.digram.count(first, second) + lam
-        den = self.unigram.counts[first] + lam * size
-        return math.log(num / den)
-
     def save(self, prefix: str) -> tuple[str, str]:
         """Write <prefix>.unigram.csv and <prefix>.digram.csv; returns the paths."""
         upath, dpath = f"{prefix}.unigram.csv", f"{prefix}.digram.csv"
@@ -155,8 +146,7 @@ class LanguageModel:
         with open(dpath, "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["first", "second", "count"])
-            idx = self.alphabet.index
-            for (a, b) in sorted(self.digram.counts, key=lambda p: (idx(p[0]), idx(p[1]))):
+            for a, b in self.digram._ordered_pairs():
                 w.writerow([a, b, self.digram.counts[(a, b)]])
         return upath, dpath
 
@@ -235,7 +225,7 @@ def encrypt(seq: LetterSequence, key: SubstitutionKey) -> Cryptogram:
     """Apply the key letter by letter; inverse of :func:`decrypt`."""
     if seq.alphabet != key.alphabet:
         raise InputError("alphabet mismatch")
-    symbols = "".join(key.mapping[ch] for ch in seq.symbols)
+    symbols = seq.symbols.translate(str.maketrans(key.mapping))
     return Cryptogram(
         alphabet=seq.alphabet,
         symbols=symbols,
@@ -249,10 +239,10 @@ def decrypt(c: Cryptogram, key: SubstitutionKey) -> LetterSequence:
     if c.alphabet != key.alphabet:
         raise InputError("alphabet mismatch")
     inv = key.inverse()
-    try:
-        plain = "".join(inv[ch] for ch in c.symbols)
-    except KeyError as exc:
-        raise InputError(f"cryptogram symbol {exc.args[0]!r} not produced by this key") from None
+    ch = first_foreign(c.symbols, inv)
+    if ch is not None:
+        raise InputError(f"cryptogram symbol {ch!r} not produced by this key")
+    plain = c.symbols.translate(str.maketrans(inv))
     return LetterSequence(c.alphabet, plain, source=f"decrypted {c.source}".strip())
 
 
@@ -288,48 +278,21 @@ def score(seq: LetterSequence, model: LanguageModel) -> float:
         raise InputError("alphabet mismatch")
     if len(seq.symbols) == 0:
         raise InputError("empty sequence")
+    codes = encode(seq.symbols, seq.alphabet.letters)
     total = 0.0
-    s = seq.symbols
-    for i in range(len(s) - 1):
-        total += model.log_prob(s[i], s[i + 1])
+    # added strictly left to right: sum() (compensated from Python 3.12) and
+    # np.sum (pairwise) would move the last bits of the score
+    for term in _log_prob_matrix(model)[codes[:-1], codes[1:]].tolist():
+        total += term
     return total
 
 
 def _log_prob_matrix(model: LanguageModel) -> np.ndarray:
-    letters = model.alphabet.letters
-    size = len(letters)
-    lam = model.smoothing
-    mat = np.empty((size, size), dtype=float)
-    for i, a in enumerate(letters):
-        den = model.unigram.counts[a] + lam * size
-        for j, b in enumerate(letters):
-            mat[i, j] = math.log((model.digram.count(a, b) + lam) / den)
-    return mat
-
-
-def _cipher_digram_matrix(c: Cryptogram) -> np.ndarray:
-    index = {sym: i for i, sym in enumerate(c.symbol_set)}
-    size = len(c.symbol_set)
-    mat = np.zeros((size, size), dtype=float)
-    s = c.symbols
-    for i in range(len(s) - 1):
-        mat[index[s[i]], index[s[i + 1]]] += 1.0
-    return mat
-
-
-def _seed_assignment(c: Cryptogram, model: LanguageModel) -> list[int]:
-    """Frequency-match seed as `assignment[symbol index] = letter index`."""
-    counts = {sym: 0 for sym in c.symbol_set}
-    for ch in c.symbols:
-        counts[ch] += 1
-    sym_index = {sym: i for i, sym in enumerate(c.symbol_set)}
-    ranked_syms = sorted(c.symbol_set, key=lambda sym: (-counts[sym], sym_index[sym]))
-    ranked_letters = rank_order(model.unigram)
-    letter_index = model.alphabet.index
-    assignment = [0] * len(c.symbol_set)
-    for sym, letter in zip(ranked_syms, ranked_letters):
-        assignment[sym_index[sym]] = letter_index(letter)
-    return assignment
+    letters, lam = model.alphabet.letters, model.smoothing
+    dens = [model.unigram.counts[a] + lam * len(letters) for a in letters]
+    return np.array(
+        [[math.log((model.digram.count(a, b) + lam) / den) for b in letters] for a, den in zip(letters, dens)]
+    )
 
 
 def hill_climb_solve(
@@ -359,7 +322,14 @@ def hill_climb_solve(
 
     size = len(c.symbol_set)
     logp = _log_prob_matrix(model)
-    ndig = _cipher_digram_matrix(c)
+    codes = encode(c.symbols, c.symbol_set)
+    ndig = np.bincount(codes[:-1] * size + codes[1:], minlength=size * size).reshape(size, size).astype(float)
+    # frequency match as `matched[symbol index] = letter index`: symbols by
+    # decreasing count, ties in inventory order, take the letters by rank
+    matched = np.empty(size, dtype=np.intp)
+    matched[np.argsort(-np.bincount(codes, minlength=size), kind="stable")] = [
+        model.alphabet.index(letter) for letter in rank_order(model.unigram)
+    ]
 
     def evaluate(assignment: np.ndarray) -> float:
         return float((ndig * logp[np.ix_(assignment, assignment)]).sum())
@@ -369,7 +339,7 @@ def hill_climb_solve(
 
     for r in range(1, restarts + 1):
         if r == 1:
-            assignment = np.array(_seed_assignment(c, model), dtype=np.intp)
+            assignment = matched
         else:
             perm = list(range(size))
             substream(seed, r).shuffle(perm)

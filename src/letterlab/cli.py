@@ -322,14 +322,14 @@ def _generate(args) -> Report:
     if args.model is not None:
         model = LanguageModel.load(args.model, _resolve_alphabet(args.alphabet))
         sequence = generate(model, args.length, seed=args.seed, order=args.order).symbols
-        mode = f"order-{args.order}"
+        mode, order = f"order-{args.order}", args.order
     else:
         chain = fit_transitions(to_vc_sequence(_corpus(args, args.vc_corpus)))
         sequence = generate(chain, args.length, seed=args.seed).states
-        mode = "vc-chain"
+        mode, order = "vc-chain", ""
     return Report(
         "mode,order,length,seed,sequence",
-        [f"{mode},{args.order},{args.length},{args.seed},{sequence}"],
+        [f"{mode},{order},{args.length},{args.seed},{sequence}"],
         {"mode": mode, "length": args.length, "seed": args.seed, "sequence": sequence},
         [sequence],
     )
@@ -453,7 +453,7 @@ COMMANDS = (
         _stability,
         default_format="csv",
         options={
-            "--sizes": dict(type=_parse_sizes, required=True, help="comma list of prefix lengths"),
+            "--sizes": dict(type=_parse_sizes, required=True, help="comma list of sample sizes"),
             "--random": dict(action="store_true", help="draw seeded random subsamples instead of prefixes"),
         },
     ),

@@ -16,7 +16,9 @@ import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
-from .alphabet import Alphabet, LetterSequence, WordSequence
+import numpy as np
+
+from .alphabet import Alphabet, LetterSequence, WordSequence, encode
 from .errors import InputError
 from .rng import substream
 
@@ -168,20 +170,23 @@ class PositionalStats:
 
 def count_letters(seq: LetterSequence) -> FrequencyTable:
     """Count every letter of the sequence; zero-count letters stay present."""
-    counts = {ch: 0 for ch in seq.alphabet.letters}
-    for ch in seq.symbols:
-        counts[ch] += 1
-    return FrequencyTable(seq.alphabet, counts, len(seq.symbols))
+    letters = seq.alphabet.letters
+    counts = np.bincount(encode(seq.symbols, letters), minlength=len(letters))
+    return FrequencyTable(seq.alphabet, dict(zip(letters, counts.tolist())), len(seq.symbols))
 
 
 def count_digrams(seq: LetterSequence) -> DigramTable:
-    """Count overlapping adjacent pairs; total is max(0, len - 1)."""
-    counts: dict[tuple[str, str], int] = {}
-    s = seq.symbols
-    for i in range(len(s) - 1):
-        pair = (s[i], s[i + 1])
-        counts[pair] = counts.get(pair, 0) + 1
-    return DigramTable(seq.alphabet, counts, max(0, len(s) - 1))
+    """Count overlapping adjacent pairs, keyed by first occurrence; total is max(0, len - 1)."""
+    letters = seq.alphabet.letters
+    size = len(letters)
+    codes = encode(seq.symbols, letters)
+    pairs, first, tally = np.unique(codes[:-1] * size + codes[1:], return_index=True, return_counts=True)
+    order = np.argsort(first)
+    counts = {
+        (letters[p // size], letters[p % size]): n
+        for p, n in zip(pairs[order].tolist(), tally[order].tolist())
+    }
+    return DigramTable(seq.alphabet, counts, max(0, len(seq.symbols) - 1))
 
 
 def merge(a, b):

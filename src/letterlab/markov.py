@@ -34,7 +34,7 @@ class BinarySequence:
     source: str = field(default="", compare=False)
 
     def __post_init__(self):
-        if any(s not in "VC" for s in self.states):
+        if not set(self.states) <= set(STATES):
             raise InputError("states must be V or C")
 
     def __len__(self) -> int:
@@ -104,18 +104,22 @@ class EntropyReport:
 
 def to_vc_sequence(seq: LetterSequence) -> BinarySequence:
     """Map each letter to V or C by the alphabet's vowel set."""
-    states = "".join(VOWEL if seq.alphabet.is_vowel(ch) else CONSONANT for ch in seq.symbols)
-    return BinarySequence(states=states, source=seq.source)
+    ab = seq.alphabet
+    vc = str.maketrans({ch: VOWEL if ab.is_vowel(ch) else CONSONANT for ch in ab.letters})
+    return BinarySequence(states=seq.symbols.translate(vc), source=seq.source)
 
 
 def fit_transitions(b: BinarySequence) -> TransitionCounts:
     """Count overlapping adjacent state pairs; needs length >= 2."""
-    if len(b.states) < 2:
-        raise InputError("need at least two states to fit transitions")
-    n = {(a, c): 0 for a in STATES for c in STATES}
     s = b.states
-    for i in range(len(s) - 1):
-        n[(s[i], s[i + 1])] += 1
+    if len(s) < 2:
+        raise InputError("need at least two states to fit transitions")
+    # "VC" and "CV" cannot overlap themselves, so str.count sees every one;
+    # VV and CC are the other pairs led by V and by C
+    vc, cv = s.count(VOWEL + CONSONANT), s.count(CONSONANT + VOWEL)
+    led_by_v = s.count(VOWEL, 0, len(s) - 1)
+    vv, cc = led_by_v - vc, len(s) - 1 - led_by_v - cv
+    n = {(VOWEL, VOWEL): vv, (VOWEL, CONSONANT): vc, (CONSONANT, VOWEL): cv, (CONSONANT, CONSONANT): cc}
     return TransitionCounts(n=n, initial=s[0])
 
 

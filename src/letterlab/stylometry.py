@@ -85,7 +85,7 @@ class LipogramFlag:
 
 def vc_profile(seq: LetterSequence) -> VCProfile:
     """Partition a letter sequence by the alphabet's vowel set."""
-    v = sum(1 for ch in seq.symbols if seq.alphabet.is_vowel(ch))
+    v = sum(map(seq.symbols.count, seq.alphabet.vowels))
     return VCProfile(vowel_count=v, consonant_count=len(seq.symbols) - v)
 
 

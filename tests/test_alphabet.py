@@ -5,6 +5,7 @@ from letterlab import (
     AlphabetSpecError,
     InputError,
     LetterSequence,
+    WordSequence,
     builtin_alphabet,
     builtin_names,
     load_alphabet,
@@ -101,6 +102,14 @@ def test_letter_sequence_rejects_foreign_symbols(en):
         LetterSequence(en, "abÉ")
 
 
+def test_foreign_symbol_message_names_the_first_one(en):
+    # "É" comes first in the text but sorts after "!"
+    with pytest.raises(InputError, match="symbol 'É' not in alphabet"):
+        LetterSequence(en, "aÉb!")
+    with pytest.raises(InputError, match="symbol 'É' not in alphabet"):
+        WordSequence(en, ("ab", "cÉ", "!"))
+
+
 text_strategy = st.text(
     alphabet=st.characters(min_codepoint=32, max_codepoint=0x2FF), max_size=200
 )
@@ -124,3 +133,49 @@ def test_tokenize_concatenation_matches_normalize(raw):
 def test_normalize_never_longer_than_input(raw):
     en = builtin_alphabet("en")
     assert len(normalize(raw, en)) <= len(raw)
+
+
+# characters whose lowercase form is longer, odd, or a fold source
+TRICKY = "İ\u212aßﬁÉé'x"  # \u212a is the Kelvin sign
+FOLD_SPEC = "name: toy\nletters: abcdefikstx\nvowels: aei\nfold: é > e\nfold: x > -\nfold: ' > -\n"
+ALPHABETS = [builtin_alphabet(name) for name in builtin_names()] + [load_alphabet(FOLD_SPEC)]
+mixed_text = st.text(
+    alphabet=st.one_of(st.characters(min_codepoint=32, max_codepoint=0x2FF), st.sampled_from(TRICKY)),
+    max_size=200,
+)
+
+
+def reference_letters(raw, ab):
+    """The letter each character becomes, or None, one character at a time."""
+    out = []
+    for ch in raw:
+        low = ch.lower()
+        low = ab.folds.get(low, low)
+        out.append(low if low is not None and low in ab else None)
+    return out
+
+
+@given(mixed_text, st.sampled_from(ALPHABETS))
+def test_normalize_and_tokenize_match_per_character_reference(raw, ab):
+    mapped = reference_letters(raw, ab)
+    seq = normalize(raw, ab, source="t")
+    assert seq.symbols == "".join(m for m in mapped if m is not None)
+    assert seq.source == f"t (discarded {mapped.count(None)})"
+    words, current = [], ""
+    for m in mapped:
+        if m is None:
+            if current:
+                words.append(current)
+            current = ""
+        else:
+            current += m
+    if current:
+        words.append(current)
+    assert tokenize_words(raw, ab).words == tuple(words)
+
+
+def test_tricky_characters(en):
+    # İ lowercases to two characters, the Kelvin sign to k; ß and ﬁ are no letters
+    assert normalize("İ\u212aßﬁÉ", en).symbols == "k"
+    assert tokenize_words("aİb\u212ac", en).words == ("a", "bkc")
+    assert tokenize_words("x-x", load_alphabet(FOLD_SPEC)).words == ()

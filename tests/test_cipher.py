@@ -93,6 +93,15 @@ def test_compose_brute_force_three_letter_alphabet():
             assert decrypt(Cryptogram(ABC, twice.symbols, twice.symbol_set), composed) == seq
 
 
+def test_foreign_cryptogram_symbol_messages_name_the_first_one(en):
+    # "É" / "Q" come first in the text but sort after "!" / "A"
+    with pytest.raises(InputError, match="cryptogram symbol 'É' outside the expected inventory"):
+        Cryptogram(en, "aÉb!", tuple(en.letters))
+    upper = Cryptogram(en, "QAZ", tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ"))
+    with pytest.raises(InputError, match="cryptogram symbol 'Q' not produced by this key"):
+        decrypt(upper, SubstitutionKey.identity(en))
+
+
 def test_parse_cryptogram_ignores_whitespace_rejects_unknown(en):
     c = parse_cryptogram("AB c\nd", en)
     assert c.symbols == "abcd"
@@ -153,6 +162,15 @@ def test_score_uniform_model_closed_form(en):
     seq = normalize("lettercounting", en)
     expected = (len(seq.symbols) - 1) * math.log(1 / 26)
     assert math.isclose(score(seq, empty), expected, rel_tol=1e-12)
+
+
+def test_score_matches_per_pair_reference(en, analysis_corpus, training_model):
+    s, m = analysis_corpus.symbols[:3000], training_model
+    total = 0.0
+    for a, b in zip(s, s[1:]):
+        den = m.unigram.counts[a] + m.smoothing * len(en.letters)
+        total += math.log((m.digram.count(a, b) + m.smoothing) / den)
+    assert score(LetterSequence(en, s), m) == total
 
 
 def test_score_empty_sequence_errors(en, training_model):

@@ -263,7 +263,8 @@ def test_undecodable_input_is_a_data_error(capsys, monkeypatch, tmp_path):
     assert code == 1 and out == "" and err.startswith("letterlab: error: cannot decode '-'")
 
 
-def test_module_runs_as_script():
+@pytest.mark.parametrize("module", ["letterlab", "letterlab.cli"])
+def test_module_runs_as_script(module):
     import os
     import subprocess
     import sys
@@ -271,7 +272,7 @@ def test_module_runs_as_script():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, "-m", "letterlab.cli", "count", PLAINTEXT],
+        [sys.executable, "-m", module, "count", PLAINTEXT],
         capture_output=True,
         text=True,
         env=env,

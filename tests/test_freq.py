@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -60,6 +61,23 @@ def test_count_digrams_basic(en):
 def test_count_digrams_single_letter(en):
     t = count_digrams(seq(en, "a"))
     assert t.total == 0 and not t.counts
+
+
+@given(st.text(alphabet="abcz", max_size=60))
+def test_counts_match_counter(s):
+    en = builtin_alphabet("en")
+    letters = count_letters(LetterSequence(en, s))
+    assert letters.counts == {ch: s.count(ch) for ch in en.letters}
+    pairs = Counter(zip(s, s[1:]))
+    digrams = count_digrams(LetterSequence(en, s))
+    assert digrams.counts == pairs
+    # first-occurrence order, which entropy_estimates sums h2 in
+    assert list(digrams.counts) == list(pairs)
+
+
+def test_digram_order_on_corpus(analysis_corpus):
+    s = analysis_corpus.symbols
+    assert list(count_digrams(analysis_corpus).counts.items()) == list(Counter(zip(s, s[1:])).items())
 
 
 def test_digram_concatenation_brute_force(en):

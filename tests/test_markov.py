@@ -58,6 +58,34 @@ def test_fit_transitions_runs():
     assert t.n[("V", "V")] == 2 and t.total == 2
 
 
+@pytest.mark.parametrize("states", ["VVVV", "CCVCC", "CCCCCCV", "VC", "CV", "VVVCCCCVVVVVC", "CCCCVVVV"])
+def test_fit_transitions_matches_direct_pair_count(states):
+    pairs = {(a, b): 0 for a in "VC" for b in "VC"}
+    for a, b in zip(states, states[1:]):
+        pairs[(a, b)] += 1
+    t = fit_transitions(BinarySequence(states))
+    assert t.n == pairs
+    assert list(t.n) == [("V", "V"), ("V", "C"), ("C", "V"), ("C", "C")]
+    assert t.initial == states[0]
+
+
+def test_fit_transitions_matches_direct_pair_count_random():
+    rng = random.Random(9)
+    for _ in range(200):
+        states = "".join(rng.choice("VC") * rng.randint(1, 6) for _ in range(rng.randint(1, 12)))
+        if len(states) < 2:
+            continue
+        expected = {(a, b): 0 for a in "VC" for b in "VC"}
+        for pair in zip(states, states[1:]):
+            expected[pair] += 1
+        assert fit_transitions(BinarySequence(states)).n == expected
+
+
+def test_binary_sequence_rejects_other_states():
+    with pytest.raises(InputError, match="V or C"):
+        BinarySequence("VCx")
+
+
 def test_fit_transitions_counts_sum_to_length_minus_one():
     rng = random.Random(5)
     for _ in range(200):
