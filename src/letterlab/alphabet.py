@@ -295,6 +295,12 @@ def encode(symbols: str, inventory) -> np.ndarray:
     return lookup[np.frombuffer(symbols.encode("utf-32-le"), dtype="<u4")]
 
 
+def non_letter(alphabet: Alphabet) -> str:
+    """The lowest code point that is no letter of `alphabet`, a word separator."""
+    # one of the first len + 1 code points is no letter
+    return min(set(map(chr, range(len(alphabet) + 1))).difference(alphabet.letters))
+
+
 class _LetterTable(dict):
     """``str.translate`` table, filled on demand: a character is lowercased
     (``İ`` gives two characters) and folded, and kept if it is then a
@@ -329,7 +335,6 @@ def tokenize_words(raw: str, alphabet: Alphabet, source: str = "text") -> WordSe
     discard folds, apostrophes, hyphens) ends the current word, so the
     concatenation of the words equals ``normalize(raw).symbols``.
     """
-    # one of the first len + 1 code points is no letter
-    gap = min(set(map(chr, range(len(alphabet) + 1))).difference(alphabet.letters))
+    gap = non_letter(alphabet)
     words = raw.translate(_LetterTable(alphabet, discard=gap)).split(gap)
     return WordSequence(alphabet, tuple(filter(None, words)), source=source)

@@ -206,19 +206,17 @@ class SolverReport:
 def parse_cryptogram(text: str, alphabet: Alphabet, source: str = "cryptogram") -> Cryptogram:
     """Read ciphertext whose symbol inventory is the alphabet itself.
 
-    Whitespace is ignored and letters are lowercased; any other
-    character is rejected, since a monoalphabetic cryptogram has a fixed
-    symbol inventory.
+    Whitespace is ignored and letters are lowercased one character at a
+    time; any other character is rejected, since a monoalphabetic
+    cryptogram has a fixed symbol inventory.
     """
-    out = []
-    for ch in text:
-        if ch.isspace():
-            continue
-        low = ch.lower()
-        if low not in alphabet:
-            raise InputError(f"unexpected cryptogram symbol {ch!r}")
-        out.append(low)
-    return Cryptogram(alphabet, "".join(out), tuple(alphabet.letters), source=source)
+    symbols = "".join(text.split())
+    lower = {ch: ch.lower() for ch in set(symbols)}
+    ch = first_foreign(symbols, [ch for ch, low in lower.items() if low in alphabet])
+    if ch is not None:
+        raise InputError(f"unexpected cryptogram symbol {ch!r}")
+    symbols = symbols.translate(str.maketrans(lower))
+    return Cryptogram(alphabet, symbols, tuple(alphabet.letters), source=source)
 
 
 def encrypt(seq: LetterSequence, key: SubstitutionKey) -> Cryptogram:
@@ -305,10 +303,11 @@ def hill_climb_solve(
     """Recover a substitution key by best-improvement hill climbing.
 
     Restart 1 starts from the frequency-match key; later restarts start
-    from seeded random keys. Each sweep evaluates every pairwise swap of
-    mapping targets and takes the best strict improvement; a restart
-    ends on the first sweep without one, since a sweep is a pure
-    function of the assignment and repeating it would change nothing.
+    from seeded random keys. Each sweep scores every pairwise swap of
+    mapping targets at once and takes the best strict improvement, the
+    first swap in (i, j) order among equal scores; a restart ends on the
+    first sweep without one, since a sweep is a pure function of the
+    assignment and repeating it would change nothing.
     The best key across restarts wins, earliest restart first on ties,
     which also guarantees the result never scores below the
     frequency-match seed.
@@ -331,8 +330,15 @@ def hill_climb_solve(
         model.alphabet.index(letter) for letter in rank_order(model.unigram)
     ]
 
-    def evaluate(assignment: np.ndarray) -> float:
-        return float((ndig * logp[np.ix_(assignment, assignment)]).sum())
+    # row k of `swapped` is the identity with the k-th pair (i < j) exchanged
+    first, second = np.triu_indices(size, 1)
+    swapped = np.tile(np.arange(size), (len(first), 1))
+    swapped[np.arange(len(first)), first] = second
+    swapped[np.arange(len(first)), second] = first
+
+    def scores(cands: np.ndarray) -> np.ndarray:
+        """Score of each row of candidate assignments."""
+        return (ndig * logp[cands[:, :, None], cands[:, None, :]]).sum(axis=(-2, -1))
 
     best_assignment: np.ndarray | None = None
     best_score_val = -math.inf
@@ -344,26 +350,17 @@ def hill_climb_solve(
             perm = list(range(size))
             substream(seed, r).shuffle(perm)
             assignment = np.array(perm, dtype=np.intp)
-        current = evaluate(assignment)
+        current = scores(assignment[None])[0]
         while True:
-            best_swap = None
-            best_gain_score = current
-            for i in range(size - 1):
-                for j in range(i + 1, size):
-                    assignment[i], assignment[j] = assignment[j], assignment[i]
-                    cand = evaluate(assignment)
-                    assignment[i], assignment[j] = assignment[j], assignment[i]
-                    if cand > best_gain_score:
-                        best_gain_score = cand
-                        best_swap = (i, j)
-            if best_swap is None:
+            cands = assignment[swapped]
+            sweep = scores(cands)
+            k = np.argmax(sweep)
+            if not sweep[k] > current:
                 break
-            i, j = best_swap
-            assignment[i], assignment[j] = assignment[j], assignment[i]
-            current = best_gain_score
+            assignment, current = cands[k], sweep[k]
         if current > best_score_val:
             best_score_val = current
-            best_assignment = assignment.copy()
+            best_assignment = assignment
 
     letters = model.alphabet.letters
     mapping = {letters[best_assignment[s]]: c.symbol_set[s] for s in range(size)}

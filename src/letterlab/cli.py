@@ -14,6 +14,8 @@ to a :class:`Report`, which renders itself in each of :data:`FORMATS`.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -61,20 +63,24 @@ SEED_LIMIT = 1 << 64
 class Report:
     """One command's result in every output format.
 
-    `header` and `rows` are the CSV lines, `data` the JSON value, and
-    `lines` the text lines; :meth:`render` ends every format with a
-    newline.
+    `header` and `rows` are the CSV records as lists of cells, `data`
+    the JSON value, and `lines` the text lines; :meth:`render` ends
+    every format with a newline.
     """
 
-    header: str
-    rows: list[str]
+    header: list[str]
+    rows: list[list]
     data: object
     lines: list[str]
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
             return json.dumps(self.data, indent=2, ensure_ascii=False) + "\n"
-        return "\n".join([self.header, *self.rows] if fmt == "csv" else self.lines) + "\n"
+        if fmt == "text":
+            return "\n".join(self.lines) + "\n"
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows([self.header, *self.rows])
+        return out.getvalue()
 
 
 def _num(v: float) -> str:
@@ -87,12 +93,12 @@ def _cell(v: object) -> str:
 
 def _record(data: dict, lines: list[str], cell: Callable[[object], str] = _cell) -> Report:
     """Report whose JSON is `data` and whose CSV is one row under its keys."""
-    return Report(",".join(data), [",".join(map(cell, data.values()))], data, lines)
+    return Report(list(data), [list(map(cell, data.values()))], data, lines)
 
 
-def _table(header: str, records: list[dict], lines: list[str]) -> Report:
+def _table(header: list[str], records: list[dict], lines: list[str]) -> Report:
     """Report whose JSON is `records` and whose CSV has one row per record."""
-    return Report(header, [",".join(map(_cell, r.values())) for r in records], records, lines)
+    return Report(header, [list(map(_cell, r.values())) for r in records], records, lines)
 
 
 def _read_text(path: str) -> str:
@@ -132,8 +138,8 @@ def _count(args) -> Report:
     ranks = rank_order(table)
     rank_of = {ch: i + 1 for i, ch in enumerate(ranks)}
     return Report(
-        "letter,count,proportion,rank",
-        [f"{ch},{table.counts[ch]},{table.proportion(ch):.6f},{rank_of[ch]}" for ch in table.alphabet.letters],
+        ["letter", "count", "proportion", "rank"],
+        [[ch, table.counts[ch], f"{table.proportion(ch):.6f}", rank_of[ch]] for ch in table.alphabet.letters],
         {**table.to_json_dict(), "rank_order": ranks},
         [f"letters: {table.total}"]
         + [f"  {ch}  {table.counts[ch]:>8}  {table.proportion(ch):.6f}" for ch in ranks]
@@ -143,13 +149,13 @@ def _count(args) -> Report:
 
 def _digrams(args) -> Report:
     table = count_digrams(_corpus(args, args.input))
-    header, *rows = table.to_csv()[:-1].split("\n")
-    pairs = sorted(table.counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    counts, total = table.counts, table.total
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return Report(
-        header,
-        rows,
+        ["first", "second", "count", "proportion"],
+        [[a, b, counts[a, b], f"{counts[a, b] / total:.6f}"] for a, b in table._ordered_pairs()],
         table.to_json_dict(),
-        [f"digrams: {table.total}"] + [f"  {a}{b}  {n:>8}  {n / table.total:.6f}" for (a, b), n in pairs],
+        [f"digrams: {total}"] + [f"  {a}{b}  {n:>8}  {n / total:.6f}" for (a, b), n in ranked],
     )
 
 
@@ -170,7 +176,7 @@ def _stability(args) -> Report:
     seq = _corpus(args, args.input)
     curve = stability_curve(seq, list(args.sizes), seed=args.seed if args.random else None)
     return _table(
-        "size,total_variation,chi_square,rank_correlation",
+        ["size", "total_variation", "chi_square", "rank_correlation"],
         [{"size": size, **asdict(d)} for size, d in curve],
         [f"corpus length: {len(seq)}"]
         + [f"  prefix {size:>8}: total variation {d.total_variation:.6f}" for size, d in curve],
@@ -188,8 +194,8 @@ def _positions(args) -> Report:
         top = sorted(ab.letters, key=lambda ch: (-counts[ch], ab.index(ch)))[:5]
         lines.append(f"  {name:<12} " + ", ".join(f"{ch}:{counts[ch]}" for ch in top))
     return Report(
-        "section,letter,count",
-        [f"{name},{ch},{counts[ch]}" for name, counts in sections.items() for ch in ab.letters],
+        ["section", "letter", "count"],
+        [[name, ch, counts[ch]] for name, counts in sections.items() for ch in ab.letters],
         {
             "words": ps.word_count,
             **{name: {ch: counts[ch] for ch in ab.letters} for name, counts in sections.items()},
@@ -232,8 +238,8 @@ def _style_alberti(args) -> Report:
     share6 = f"{float(v.vowel_share):.6f}"
     poetry, orator = str(v.above_poetry_threshold).lower(), str(v.above_orator_threshold).lower()
     return Report(
-        "vowel_share,poetry_threshold,above_poetry,orator_threshold,above_orator,label",
-        [f"{share6},{POETRY_THRESHOLD},{poetry},{ORATOR_THRESHOLD},{orator},{v.label}"],
+        ["vowel_share", "poetry_threshold", "above_poetry", "orator_threshold", "above_orator", "label"],
+        [[share6, POETRY_THRESHOLD, poetry, ORATOR_THRESHOLD, orator, v.label]],
         {
             "vowel_share": float(v.vowel_share),
             "vowel_share_exact": str(v.vowel_share),
@@ -281,7 +287,7 @@ def _lipogram(args) -> Report:
         f"  {f.letter}: observed {f.observed}, expected {f.expected:.1f}, p {_num(f.p_value)}" for f in flags
     ]
     return _table(
-        "letter,observed,expected,p_value",
+        ["letter", "observed", "expected", "p_value"],
         [asdict(f) for f in flags],
         lines if flags else ["no letters flagged"],
     )
@@ -328,8 +334,8 @@ def _generate(args) -> Report:
         sequence = generate(chain, args.length, seed=args.seed).states
         mode, order = "vc-chain", ""
     return Report(
-        "mode,order,length,seed,sequence",
-        [f"{mode},{order},{args.length},{args.seed},{sequence}"],
+        ["mode", "order", "length", "seed", "sequence"],
+        [[mode, order, args.length, args.seed, sequence]],
         {"mode": mode, "length": args.length, "seed": args.seed, "sequence": sequence},
         [sequence],
     )
@@ -351,8 +357,8 @@ def _zipf(args) -> Report:
     else:
         lines.append(f"fit: not enough entries with count >= {args.min_count}")
     return Report(
-        "rank,word,count",
-        [f"{e.rank},{e.word},{e.count}" for e in rf.entries],
+        ["rank", "word", "count"],
+        [[e.rank, e.word, e.count] for e in rf.entries],
         {
             "entries": [asdict(e) for e in rf.entries],
             "fit": fit.to_json_dict() if fit else None,
@@ -376,13 +382,13 @@ def _solve(args) -> Report:
     warning = report.length_warning
     key_string = report.best_key.target_string()
     return Report(
-        "field,value",
+        ["field", "value"],
         [
-            f"best_score,{_num(report.best_score)}",
-            f"restarts_run,{report.restarts_run}",
-            f"length_warning,{'' if warning is None else warning.length}",
-            f"key,{key_string}",
-            f"plaintext,{report.plaintext.symbols}",
+            ["best_score", _num(report.best_score)],
+            ["restarts_run", report.restarts_run],
+            ["length_warning", "" if warning is None else warning.length],
+            ["key", key_string],
+            ["plaintext", report.plaintext.symbols],
         ],
         {
             "best_score": report.best_score,
@@ -412,8 +418,8 @@ def _train_model(args) -> Report:
     upath, dpath = model.save(args.out)
     letters, digrams = model.unigram.total, model.digram.total
     return Report(
-        "file,letters",
-        [f"{upath},{letters}", f"{dpath},{digrams}"],
+        ["file", "letters"],
+        [[upath, letters], [dpath, digrams]],
         {"unigram": upath, "digram": dpath, "letters": letters, "digrams": digrams},
         [f"wrote {upath} ({letters} letters) and {dpath} ({digrams} digrams)"],
     )

@@ -11,14 +11,13 @@ correlation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
 
-from .alphabet import Alphabet, LetterSequence, WordSequence, encode
+from .alphabet import Alphabet, LetterSequence, WordSequence, encode, non_letter
 from .errors import InputError
 from .rng import substream
 
@@ -71,9 +70,6 @@ class FrequencyTable:
             "total": self.total,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), ensure_ascii=False, indent=2)
-
 
 @dataclass(frozen=True)
 class DigramTable:
@@ -95,9 +91,6 @@ class DigramTable:
     def count(self, first: str, second: str) -> int:
         return self.counts.get((first, second), 0)
 
-    def row_total(self, first: str) -> int:
-        return sum(n for (a, _), n in self.counts.items() if a == first)
-
     def row_totals(self) -> dict[str, int]:
         rows = {ch: 0 for ch in self.alphabet.letters}
         for (a, _), n in self.counts.items():
@@ -107,14 +100,6 @@ class DigramTable:
     def _ordered_pairs(self):
         idx = self.alphabet.index
         return sorted(self.counts, key=lambda p: (idx(p[0]), idx(p[1])))
-
-    def to_csv(self) -> str:
-        lines = ["first,second,count,proportion"]
-        for a, b in self._ordered_pairs():
-            n = self.counts[(a, b)]
-            prop = n / self.total if self.total else 0.0
-            lines.append(f"{a},{b},{n},{prop:.6f}")
-        return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
         return {
@@ -168,11 +153,15 @@ class PositionalStats:
     word_count: int = field(default=0)
 
 
+def _tally(alphabet: Alphabet, codes: np.ndarray) -> FrequencyTable:
+    """Table of letter codes (positions in `alphabet.letters`), one count each."""
+    counts = np.bincount(codes, minlength=len(alphabet))
+    return FrequencyTable(alphabet, dict(zip(alphabet.letters, counts.tolist())), len(codes))
+
+
 def count_letters(seq: LetterSequence) -> FrequencyTable:
     """Count every letter of the sequence; zero-count letters stay present."""
-    letters = seq.alphabet.letters
-    counts = np.bincount(encode(seq.symbols, letters), minlength=len(letters))
-    return FrequencyTable(seq.alphabet, dict(zip(letters, counts.tolist())), len(seq.symbols))
+    return _tally(seq.alphabet, encode(seq.symbols, seq.alphabet.letters))
 
 
 def count_digrams(seq: LetterSequence) -> DigramTable:
@@ -310,29 +299,20 @@ def positional_stats(words: WordSequence) -> PositionalStats:
     contributes two doublings of a.
     """
     ab = words.alphabet
-    initial = {ch: 0 for ch in ab.letters}
-    final = {ch: 0 for ch in ab.letters}
-    second = {ch: 0 for ch in ab.letters}
-    penult = {ch: 0 for ch in ab.letters}
-    doubles = {ch: 0 for ch in ab.letters}
-    for w in words.words:
-        initial[w[0]] += 1
-        final[w[-1]] += 1
-        if len(w) >= 2:
-            second[w[1]] += 1
-            penult[w[-2]] += 1
-        for x, y in zip(w, w[1:]):
-            if x == y:
-                doubles[x] += 1
-    n = len(words.words)
-    n2 = sum(1 for w in words.words if len(w) >= 2)
+    gap = non_letter(ab)
+    # every word between two single gaps, whose code is len(ab), so
+    # equal neighbours are always two letters of one word
+    codes = encode(gap.join(("", *words.words, "")), (*ab.letters, gap))
+    gaps = np.flatnonzero(codes == len(ab))
+    starts, ends = gaps[:-1] + 1, gaps[1:] - 1
+    long = starts < ends
     return PositionalStats(
-        initial=FrequencyTable(ab, initial, n),
-        final=FrequencyTable(ab, final, n),
-        second=FrequencyTable(ab, second, n2),
-        penultimate=FrequencyTable(ab, penult, n2),
-        doubles=doubles,
-        word_count=n,
+        initial=_tally(ab, codes[starts]),
+        final=_tally(ab, codes[ends]),
+        second=_tally(ab, codes[starts[long] + 1]),
+        penultimate=_tally(ab, codes[ends[long] - 1]),
+        doubles=_tally(ab, codes[:-1][codes[:-1] == codes[1:]]).counts,
+        word_count=len(words.words),
     )
 
 
@@ -347,24 +327,29 @@ def stability_curve(
     partial Fisher-Yates shuffle of the symbols driven by substream k of
     the seed, so each entry is independent of the other sizes asked for.
     """
-    full = count_letters(seq)
+    ab = seq.alphabet
+    codes = encode(seq.symbols, ab.letters)
+    full = _tally(ab, codes)
     if full.total == 0:
         raise InputError("empty corpus")
+    n = len(codes)
     out = []
     for k, size in enumerate(sizes):
         if size <= 0:
             raise InputError(f"sample size must be positive, got {size}")
-        if size > len(seq.symbols):
-            raise InputError(f"sample size {size} exceeds corpus length {len(seq.symbols)}")
+        if size > n:
+            raise InputError(f"sample size {size} exceeds corpus length {n}")
         if seed is None:
-            sample = LetterSequence(seq.alphabet, seq.symbols[:size], source=f"{seq.source}[:{size}]")
+            sample = codes[:size]
         else:
+            # the shuffle's swaps, recorded only where they moved a position
             rng = substream(seed, k)
-            pool = list(seq.symbols)
-            n = len(pool)
+            moved: dict[int, int] = {}
+            picks = []
             for i in range(size):
                 j = i + rng.next_below(n - i)
-                pool[i], pool[j] = pool[j], pool[i]
-            sample = LetterSequence(seq.alphabet, "".join(pool[:size]), source=f"{seq.source} sample")
-        out.append((size, compare_tables(count_letters(sample), full)))
+                picks.append(moved.get(j, j))
+                moved[j] = moved.get(i, i)
+            sample = codes[picks]
+        out.append((size, compare_tables(_tally(ab, sample), full)))
     return out

@@ -227,23 +227,29 @@ def generate(model, length: int, seed: int, order: int = 1):
     return _generate_letters(model, length, rng, order)
 
 
+def _walk(rng: SplitMix64, labels, start: list[float], rows: list, length: int) -> str:
+    """`length` labels of a first-order chain: the first drawn from `start`,
+    each next one from the row of the one before. A None row raises only
+    when the walk has to leave it."""
+    out = []
+    probs = start
+    for _ in range(length):
+        if probs is None:
+            raise InputError(f"non-normalizable row for state {out[-1]!r}")
+        i = _sample_index(rng, probs)
+        out.append(labels[i])
+        probs = rows[i]
+    return "".join(out)
+
+
 def _generate_states(t: TransitionCounts, length: int, rng: SplitMix64) -> BinarySequence:
     total = t.total
     if length > 0 and total == 0:
         raise InputError("non-normalizable row: no transitions observed")
-    out = []
-    if length > 0:
-        marginal = [t.row_total(s) / total for s in STATES]
-        state = STATES[_sample_index(rng, marginal)]
-        out.append(state)
-        for _ in range(length - 1):
-            row = t.row_total(state)
-            if row == 0:
-                raise InputError(f"non-normalizable row for state {state!r}")
-            probs = [t.n[(state, s)] / row for s in STATES]
-            state = STATES[_sample_index(rng, probs)]
-            out.append(state)
-    return BinarySequence(states="".join(out), source="generated order-1 chain")
+    totals = [t.row_total(a) for a in STATES]
+    marginal = [r / total for r in totals] if total else None
+    rows = [[t.n[(a, b)] / r for b in STATES] if r else None for a, r in zip(STATES, totals)]
+    return BinarySequence(states=_walk(rng, STATES, marginal, rows, length), source="generated order-1 chain")
 
 
 def _generate_letters(model, length: int, rng: SplitMix64, order: int) -> LetterSequence:
@@ -254,21 +260,11 @@ def _generate_letters(model, length: int, rng: SplitMix64, order: int) -> Letter
     if model.unigram.total == 0:
         raise InputError("non-normalizable row: empty unigram table")
     marginal = [model.unigram.proportion(ch) for ch in letters]
-    out = [letters[_sample_index(rng, marginal)]]
     if order == 0:
-        for _ in range(length - 1):
-            out.append(letters[_sample_index(rng, marginal)])
+        rows = [marginal] * len(letters)
     else:
-        lam = model.smoothing
-        rows = model.digram.row_totals()
-        size = len(letters)
-        row_cache: dict[str, list[float]] = {}
-        for _ in range(length - 1):
-            prev = out[-1]
-            probs = row_cache.get(prev)
-            if probs is None:
-                denom = rows[prev] + lam * size
-                probs = [(model.digram.count(prev, ch) + lam) / denom for ch in letters]
-                row_cache[prev] = probs
-            out.append(letters[_sample_index(rng, probs)])
-    return LetterSequence(alphabet, "".join(out), source=f"generated order-{order}")
+        lam, totals = model.smoothing, model.digram.row_totals()
+        dens = [totals[a] + lam * len(letters) for a in letters]
+        rows = [[(model.digram.count(a, b) + lam) / den for b in letters] for a, den in zip(letters, dens)]
+    symbols = _walk(rng, letters, marginal, rows, length)
+    return LetterSequence(alphabet, symbols, source=f"generated order-{order}")

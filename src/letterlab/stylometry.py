@@ -83,10 +83,14 @@ class LipogramFlag:
     p_value: float
 
 
+def _profile(symbols: str, vowels) -> VCProfile:
+    v = sum(map(symbols.count, vowels))
+    return VCProfile(vowel_count=v, consonant_count=len(symbols) - v)
+
+
 def vc_profile(seq: LetterSequence) -> VCProfile:
     """Partition a letter sequence by the alphabet's vowel set."""
-    v = sum(map(seq.symbols.count, seq.alphabet.vowels))
-    return VCProfile(vowel_count=v, consonant_count=len(seq.symbols) - v)
+    return _profile(seq.symbols, seq.alphabet.vowels)
 
 
 def alberti_test(p: VCProfile) -> AlbertiVerdict:
@@ -162,11 +166,8 @@ def blocks_of(seq: LetterSequence, block_size: int = 1000) -> list[VCProfile]:
     """Fixed-size block profiles of one long text (last partial block kept)."""
     if block_size <= 0:
         raise InputError("block size must be positive")
-    out = []
-    for start in range(0, len(seq.symbols), block_size):
-        chunk = LetterSequence(seq.alphabet, seq.symbols[start : start + block_size], source=seq.source)
-        out.append(vc_profile(chunk))
-    return out
+    s, vowels = seq.symbols, seq.alphabet.vowels
+    return [_profile(s[start : start + block_size], vowels) for start in range(0, len(s), block_size)]
 
 
 def _binom_cdf(k: int, n: int, p: float) -> float:

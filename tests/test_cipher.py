@@ -1,6 +1,8 @@
 import math
 import random
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,11 +22,15 @@ from letterlab import (
     frequency_match_key,
     hill_climb_solve,
     length_check,
+    load_alphabet,
     normalize,
     parse_cryptogram,
     rank_order,
     score,
 )
+from letterlab.alphabet import encode
+from letterlab.cipher import _log_prob_matrix
+from letterlab.rng import substream
 
 ABC = Alphabet(name="abc", letters=("a", "b", "c"), vowels=frozenset("a"))
 
@@ -107,6 +113,51 @@ def test_parse_cryptogram_ignores_whitespace_rejects_unknown(en):
     assert c.symbols == "abcd"
     with pytest.raises(InputError):
         parse_cryptogram("ab!", en)
+
+
+def parse_reference(text: str, alphabet) -> str:
+    """The per-character loop that parse_cryptogram replaced."""
+    out = []
+    for ch in text:
+        if ch.isspace():
+            continue
+        low = ch.lower()
+        if low not in alphabet:
+            raise InputError(f"unexpected cryptogram symbol {ch!r}")
+        out.append(low)
+    return "".join(out)
+
+
+# "Σ" lowercases to "σ" on its own but to "ς" at a word end in str.lower()
+MIXED = load_alphabet("name: mixed\nletters: abikσ\nvowels: a\n")
+PARSE_CHARS = "aAbBiIkK\u212aσΣςİé!, \n\t\x1c\u3000\u00a0"
+
+
+def assert_parses_like_reference(text, alphabet):
+    try:
+        expected = parse_reference(text, alphabet)
+    except InputError as exc:
+        with pytest.raises(InputError, match=re.escape(str(exc))):
+            parse_cryptogram(text, alphabet)
+    else:
+        assert parse_cryptogram(text, alphabet).symbols == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["Ab\x1cc\u3000D \n", "aΣ", "ΑΣ", "ab Σ\tσΣ", "abİc", "İ!", "ab\u212aK", "aÉb!", "a!bÉ", ""],
+)
+def test_parse_cryptogram_matches_per_character_reference(text):
+    assert_parses_like_reference(text, MIXED)
+
+
+def test_parse_cryptogram_lowercases_per_character():
+    assert parse_cryptogram("aΣ", MIXED).symbols == "aσ"
+
+
+@given(st.text(alphabet=PARSE_CHARS, max_size=20))
+def test_parse_cryptogram_matches_per_character_reference_random(text):
+    assert_parses_like_reference(text, MIXED)
 
 
 def test_frequency_match_key_definitional():
@@ -261,6 +312,68 @@ def test_solver_reproducible(en, training_model, solver_plaintext):
     r2 = hill_climb_solve(c, training_model, restarts=4, seed=99)
     assert r1 == r2
     assert r1.restarts_run == 4
+
+
+def solve_reference(c, model, restarts, seed):
+    """Best key of the per-swap double loop (swap, rescore, swap back) that
+    hill_climb_solve's one-expression sweep replaced."""
+    size = len(c.symbol_set)
+    logp = _log_prob_matrix(model)
+    codes = encode(c.symbols, c.symbol_set)
+    ndig = np.bincount(codes[:-1] * size + codes[1:], minlength=size * size).reshape(size, size).astype(float)
+
+    def evaluate(a):
+        return float((ndig * logp[np.ix_(a, a)]).sum())
+
+    seed_key = frequency_match_key(count_letters(LetterSequence(c.alphabet, c.symbols)), model.unigram)
+    best, best_score = None, -math.inf
+    for r in range(1, restarts + 1):
+        if r == 1:
+            a = np.array([c.alphabet.index(ch) for ch in sorted(seed_key.mapping, key=seed_key.mapping.get)])
+        else:
+            perm = list(range(size))
+            substream(seed, r).shuffle(perm)
+            a = np.array(perm)
+        current = evaluate(a)
+        while True:
+            best_swap, best_gain = None, current
+            for i in range(size - 1):
+                for j in range(i + 1, size):
+                    a[i], a[j] = a[j], a[i]
+                    cand = evaluate(a)
+                    a[i], a[j] = a[j], a[i]
+                    if cand > best_gain:
+                        best_gain, best_swap = cand, (i, j)
+            if best_swap is None:
+                break
+            i, j = best_swap
+            a[i], a[j] = a[j], a[i]
+            current = best_gain
+        if current > best_score:
+            best, best_score = a.copy(), current
+    return "".join(c.symbol_set[list(best).index(k)] for k in range(size))
+
+
+def test_solver_matches_double_loop_reference(en, analysis_corpus):
+    model = LanguageModel.train(LetterSequence(en, analysis_corpus.symbols[:20000]))
+    rng = random.Random(5)
+    for length in (60, 150):
+        targets = list(en.letters)
+        rng.shuffle(targets)
+        c = encrypt(LetterSequence(en, analysis_corpus.symbols[-length:]), en_key(en, "".join(targets)))
+        report = hill_climb_solve(c, model, restarts=3, seed=8)
+        assert report.best_key.target_string() == solve_reference(c, model, restarts=3, seed=8)
+
+
+def test_solver_takes_the_first_of_equal_best_swaps():
+    abcd = Alphabet(name="abcd", letters=tuple("abcd"), vowels=frozenset("a"))
+    model = LanguageModel.train(LetterSequence(abcd, "ab" * 50))
+    c = parse_cryptogram("aaaaaaaa", abcd)
+    # the model never saw c or d, so giving symbol a either one scores the
+    # same; swap (0, 2) comes before (0, 3)
+    report = hill_climb_solve(c, model, restarts=1)
+    assert report.plaintext.symbols == "cccccccc"
+    assert report.best_key.target_string() == solve_reference(c, model, restarts=1, seed=0)
 
 
 def test_solver_empty_cryptogram_errors(en, training_model):

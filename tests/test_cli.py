@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -231,6 +233,30 @@ def test_alphabet_spec_file(capsys, tmp_path):
     assert code == 0
     d = json.loads(out)
     assert d["counts"] == {"a": 4, "b": 1, "c": 2, "t": 1}
+
+
+def csv_rows(out: str) -> list[list[str]]:
+    rows = list(csv.reader(io.StringIO(out)))
+    assert all(len(row) == len(rows[0]) for row in rows)
+    return rows
+
+
+def test_csv_cells_holding_commas_are_quoted(capsys, tmp_path, monkeypatch):
+    spec = tmp_path / "comma.alphabet"
+    spec.write_text("name: comma\nletters: ab,\nvowels: a\n", encoding="utf-8")
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("a,b,b,", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "count", "--alphabet", str(spec), str(corpus))
+    assert code == 0
+    assert csv_rows(out)[1:] == [["a", "1", "0.166667", "3"], ["b", "2", "0.333333", "2"], [",", "3", "0.500000", "1"]]
+    for command in ("digrams", "positions", "zipf"):
+        code, out, _ = run_cli(capsys, command, "--alphabet", str(spec), str(corpus), "--format", "csv")
+        assert code == 0 and len(csv_rows(out)) > 1
+
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "train-model", str(corpus), "--out", "my,model", "--format", "csv")
+    assert code == 0
+    assert csv_rows(out) == [["file", "letters"], ["my,model.unigram.csv", "3"], ["my,model.digram.csv", "2"]]
 
 
 def test_version_and_help(capsys):

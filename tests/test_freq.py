@@ -10,6 +10,8 @@ from letterlab import (
     FrequencyTable,
     InputError,
     LetterSequence,
+    PositionalStats,
+    WordSequence,
     builtin_alphabet,
     compare_tables,
     count_digrams,
@@ -21,6 +23,7 @@ from letterlab import (
     stability_curve,
     tokenize_words,
 )
+from letterlab.rng import substream
 
 # Wilson bounds computed beforehand by solving the score quadratic
 # symbolically (sympy), independent of the closed form used in freq.py.
@@ -248,6 +251,54 @@ def test_positional_stats_second_total_counts_long_words(en):
     assert ps.second.total == ps.penultimate.total == 2
 
 
+def positional_reference(words: WordSequence) -> PositionalStats:
+    """The per-word loop that positional_stats replaced."""
+    ab = words.alphabet
+    initial, final, second, penult, doubles = ({ch: 0 for ch in ab.letters} for _ in range(5))
+    for w in words.words:
+        initial[w[0]] += 1
+        final[w[-1]] += 1
+        if len(w) >= 2:
+            second[w[1]] += 1
+            penult[w[-2]] += 1
+        for x, y in zip(w, w[1:]):
+            if x == y:
+                doubles[x] += 1
+    n = len(words.words)
+    n2 = sum(1 for w in words.words if len(w) >= 2)
+    return PositionalStats(
+        initial=FrequencyTable(ab, initial, n),
+        final=FrequencyTable(ab, final, n),
+        second=FrequencyTable(ab, second, n2),
+        penultimate=FrequencyTable(ab, penult, n2),
+        doubles=doubles,
+        word_count=n,
+    )
+
+
+# letters at the lowest code points, so the word separator is "\x02"
+LOW = Alphabet(name="low", letters=("\x00", "\x01", "a"), vowels=frozenset("a"))
+
+
+@pytest.mark.parametrize("ab", [builtin_alphabet("en"), LOW], ids=["en", "low"])
+@given(data=st.data())
+def test_positional_stats_matches_per_word_reference(ab, data):
+    words = data.draw(st.lists(st.text(alphabet=ab.letters[:3], min_size=1, max_size=6), max_size=10))
+    ws = WordSequence(ab, tuple(words))
+    assert positional_stats(ws) == positional_reference(ws)
+
+
+@pytest.mark.parametrize("words", [(), ("a",), ("b", "a", "b"), ("aaa", "ab", "bb", "a")])
+def test_positional_stats_edge_cases_match_reference(en, words):
+    ws = WordSequence(en, words)
+    assert positional_stats(ws) == positional_reference(ws)
+
+
+def test_positional_stats_on_corpus_matches_reference(en):
+    words = tokenize_words(open("tests/data/english_analysis.txt", encoding="utf-8").read(), en)
+    assert positional_stats(words) == positional_reference(words)
+
+
 def test_words_rarely_end_in_i(en):
     # Thicknesse's observation, checked on the committed corpus
     words = tokenize_words(open("tests/data/english_analysis.txt", encoding="utf-8").read(), en)
@@ -270,6 +321,32 @@ def test_stability_curve_seeded_samples(en, analysis_corpus):
     assert curve != stability_curve(s, [90, 1000])
     # the k-th sample depends on the seed, k and its size only
     assert curve[1] == stability_curve(s, [500, 1000], seed=4)[1]
+
+
+def seeded_sample_reference(symbols: str, size: int, seed: int, k: int) -> str:
+    """The list-based partial Fisher-Yates that seeded stability_curve replaced."""
+    rng = substream(seed, k)
+    pool = list(symbols)
+    n = len(pool)
+    for i in range(size):
+        j = i + rng.next_below(n - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return "".join(pool[:size])
+
+
+def test_stability_curve_matches_per_sample_reference(en, analysis_corpus):
+    s = LetterSequence(en, analysis_corpus.symbols[:3000])
+    full = count_letters(s)
+    sizes = [1, 2, 90, 1000, 2999, 3000]
+
+    def curve(sample):
+        return [(size, compare_tables(count_letters(LetterSequence(en, sample(k, size))), full))
+                for k, size in enumerate(sizes)]
+
+    assert stability_curve(s, sizes) == curve(lambda k, size: s.symbols[:size])
+    for seed in (0, 7):
+        expected = curve(lambda k, size: seeded_sample_reference(s.symbols, size, seed, k))
+        assert stability_curve(s, sizes, seed=seed) == expected
 
 
 def test_stability_curve_size_one(en):

@@ -163,6 +163,14 @@ def test_blocks_of_splits_fixed_sizes(analysis_corpus):
     assert all(p.total == 1000 for p in profiles[:-1])
 
 
+@pytest.mark.parametrize("block_size", [1, 7, 1000, 5000, 10**6])
+def test_blocks_of_matches_vc_profile_of_each_slice(analysis_corpus, block_size):
+    ab, s = analysis_corpus.alphabet, analysis_corpus.symbols[:5000]
+    expected = [vc_profile(LetterSequence(ab, s[i : i + block_size])) for i in range(0, len(s), block_size)]
+    assert blocks_of(LetterSequence(ab, s), block_size) == expected
+    assert blocks_of(LetterSequence(ab, ""), block_size) == []
+
+
 def test_binom_cdf_against_closed_forms():
     # P(X <= 0) = (1-p)^n and P(X <= n) = 1
     assert math.isclose(_binom_cdf(0, 50, 0.1), 0.9**50, rel_tol=1e-12)
