@@ -183,15 +183,11 @@ def builtin_names() -> tuple[str, ...]:
 
 
 def load_alphabet(spec_text: str) -> Alphabet:
-    """Parse an alphabet spec document (or a bare builtin name).
+    """Parse an alphabet spec document.
 
     Raises :class:`AlphabetSpecError` with line context for malformed
     documents, duplicate letters, or vowels outside the letter set.
     """
-    bare = spec_text.strip()
-    if bare in _BUILTIN_SPECS:
-        spec_text = _BUILTIN_SPECS[bare]
-
     name = None
     letters: list[str] | None = None
     vowels: list[str] | None = None

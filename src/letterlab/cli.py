@@ -41,8 +41,7 @@ from .freq import (
     rank_order,
     stability_curve,
 )
-from .markov import fit_transitions, generate, independence_test, to_vc_sequence
-from .markov import entropy_estimates
+from .markov import STATES, entropy_estimates, fit_transitions, generate, independence_test, to_vc_sequence
 from .stylometry import (
     ORATOR_THRESHOLD,
     POETRY_THRESHOLD,
@@ -126,8 +125,7 @@ def _resolve_alphabet(name_or_path: str) -> Alphabet:
 
 def _corpus(args: argparse.Namespace, path: str, parse=normalize):
     """`parse` (normalize, tokenize_words or parse_cryptogram) of `path` over --alphabet."""
-    ab = _resolve_alphabet(args.alphabet)
-    return parse(_read_text(path), ab, source=path)
+    return parse(_read_text(path), args.alphabet, source=path)
 
 
 # ---------------------------------------------------------------- tables
@@ -135,12 +133,18 @@ def _corpus(args: argparse.Namespace, path: str, parse=normalize):
 
 def _count(args) -> Report:
     table = count_letters(_corpus(args, args.input))
+    ab = table.alphabet
     ranks = rank_order(table)
     rank_of = {ch: i + 1 for i, ch in enumerate(ranks)}
     return Report(
         ["letter", "count", "proportion", "rank"],
-        [[ch, table.counts[ch], f"{table.proportion(ch):.6f}", rank_of[ch]] for ch in table.alphabet.letters],
-        {**table.to_json_dict(), "rank_order": ranks},
+        [[ch, table.counts[ch], f"{table.proportion(ch):.6f}", rank_of[ch]] for ch in ab.letters],
+        {
+            "alphabet": ab.name,
+            "counts": {ch: table.counts[ch] for ch in ab.letters},
+            "total": table.total,
+            "rank_order": ranks,
+        },
         [f"letters: {table.total}"]
         + [f"  {ch}  {table.counts[ch]:>8}  {table.proportion(ch):.6f}" for ch in ranks]
         + ["rank order: " + "".join(ranks)],
@@ -149,12 +153,12 @@ def _count(args) -> Report:
 
 def _digrams(args) -> Report:
     table = count_digrams(_corpus(args, args.input))
-    counts, total = table.counts, table.total
+    counts, total, pairs = table.counts, table.total, table._ordered_pairs()
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return Report(
         ["first", "second", "count", "proportion"],
-        [[a, b, counts[a, b], f"{counts[a, b] / total:.6f}"] for a, b in table._ordered_pairs()],
-        table.to_json_dict(),
+        [[a, b, counts[a, b], f"{counts[a, b] / total:.6f}"] for a, b in pairs],
+        {"alphabet": table.alphabet.name, "counts": {a + b: counts[a, b] for a, b in pairs}, "total": total},
         [f"digrams: {total}"] + [f"  {a}{b}  {n:>8}  {n / total:.6f}" for (a, b), n in ranked],
     )
 
@@ -297,7 +301,14 @@ def _lipogram(args) -> Report:
 
 
 def _markov_test(args) -> Report:
-    d = independence_test(fit_transitions(to_vc_sequence(_corpus(args, args.input)))).to_json_dict()
+    rep = independence_test(fit_transitions(to_vc_sequence(_corpus(args, args.input))))
+    p = rep.transition_probabilities
+    d = {
+        "chi_square": rep.chi_square,
+        "df": rep.degrees_of_freedom,
+        "p_value": rep.p_value,
+        **{f"p_{a}{b}".lower(): p[a, b] for a in STATES for b in STATES},
+    }
     return _record(
         d,
         [
@@ -326,7 +337,7 @@ def _generate(args) -> Report:
     if (args.model is None) == (args.vc_corpus is None):
         raise InputError("generate requires exactly one of --model or --vc-corpus")
     if args.model is not None:
-        model = LanguageModel.load(args.model, _resolve_alphabet(args.alphabet))
+        model = LanguageModel.load(args.model, args.alphabet)
         sequence = generate(model, args.length, seed=args.seed, order=args.order).symbols
         mode, order = f"order-{args.order}", args.order
     else:
@@ -361,7 +372,7 @@ def _zipf(args) -> Report:
         [[e.rank, e.word, e.count] for e in rf.entries],
         {
             "entries": [asdict(e) for e in rf.entries],
-            "fit": fit.to_json_dict() if fit else None,
+            "fit": asdict(fit) if fit else None,
         },
         lines,
     )
@@ -373,7 +384,7 @@ def _zipf(args) -> Report:
 def _solve(args) -> Report:
     if not args.model:
         raise InputError("solve requires --model")
-    ab = _resolve_alphabet(args.alphabet)
+    ab = args.alphabet
     model = LanguageModel.load(args.model, ab)
     cryptogram = _corpus(args, args.input, parse_cryptogram)
     report = hill_climb_solve(
@@ -557,6 +568,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if not 0 <= args.seed < SEED_LIMIT:
             raise InputError(f"seed must be in 0..{SEED_LIMIT - 1}, got {args.seed}")
+        # the builtin name or spec file path becomes the Alphabet every command uses
+        args.alphabet = _resolve_alphabet(args.alphabet)
         sys.stdout.write(args.command.run(args).render(args.format))
         return 0
     except (InputError, OSError) as exc:

@@ -54,22 +54,6 @@ class FrequencyTable:
     def proportion(self, letter: str) -> float:
         return self.counts[letter] / self.total if self.total else 0.0
 
-    def proportions(self) -> dict[str, float]:
-        return {ch: self.proportion(ch) for ch in self.alphabet.letters}
-
-    def to_csv(self) -> str:
-        lines = ["letter,count,proportion"]
-        for ch in self.alphabet.letters:
-            lines.append(f"{ch},{self.counts[ch]},{self.proportion(ch):.6f}")
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alphabet": self.alphabet.name,
-            "counts": {ch: self.counts[ch] for ch in self.alphabet.letters},
-            "total": self.total,
-        }
-
 
 @dataclass(frozen=True)
 class DigramTable:
@@ -100,13 +84,6 @@ class DigramTable:
     def _ordered_pairs(self):
         idx = self.alphabet.index
         return sorted(self.counts, key=lambda p: (idx(p[0]), idx(p[1])))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alphabet": self.alphabet.name,
-            "counts": {f"{a}{b}": self.counts[(a, b)] for a, b in self._ordered_pairs()},
-            "total": self.total,
-        }
 
 
 @dataclass(frozen=True)
@@ -169,12 +146,9 @@ def count_digrams(seq: LetterSequence) -> DigramTable:
     letters = seq.alphabet.letters
     size = len(letters)
     codes = encode(seq.symbols, letters)
-    pairs, first, tally = np.unique(codes[:-1] * size + codes[1:], return_index=True, return_counts=True)
-    order = np.argsort(first)
-    counts = {
-        (letters[p // size], letters[p % size]): n
-        for p, n in zip(pairs[order].tolist(), tally[order].tolist())
-    }
+    pairs = codes[:-1] * size + codes[1:]
+    tally = np.bincount(pairs, minlength=size * size).tolist()
+    counts = {(letters[p // size], letters[p % size]): tally[p] for p in dict.fromkeys(pairs.tolist())}
     return DigramTable(seq.alphabet, counts, max(0, len(seq.symbols) - 1))
 
 

@@ -14,7 +14,9 @@ generator.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .alphabet import Alphabet, LetterSequence
 from .errors import InputError
@@ -79,18 +81,6 @@ class MarkovTestReport:
     degrees_of_freedom: int
     p_value: float
     transition_probabilities: dict[tuple[str, str], float]
-
-    def to_json_dict(self) -> dict:
-        p = self.transition_probabilities
-        return {
-            "chi_square": self.chi_square,
-            "df": self.degrees_of_freedom,
-            "p_value": self.p_value,
-            "p_vv": p[(VOWEL, VOWEL)],
-            "p_vc": p[(VOWEL, CONSONANT)],
-            "p_cv": p[(CONSONANT, VOWEL)],
-            "p_cc": p[(CONSONANT, CONSONANT)],
-        }
 
 
 @dataclass(frozen=True)
@@ -191,17 +181,6 @@ def entropy_estimates(unigram: FrequencyTable, digram: DigramTable) -> EntropyRe
     return EntropyReport(h0=h0, h1=h1, h2=h2)
 
 
-def _sample_index(rng: SplitMix64, probs: list[float]) -> int:
-    # first index whose cumulative probability exceeds the draw
-    u = rng.next_float()
-    acc = 0.0
-    for i, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            return i
-    return len(probs) - 1
-
-
 def generate(model, length: int, seed: int, order: int = 1):
     """Run a fitted model forward; deterministic for a given seed.
 
@@ -229,16 +208,19 @@ def generate(model, length: int, seed: int, order: int = 1):
 
 def _walk(rng: SplitMix64, labels, start: list[float], rows: list, length: int) -> str:
     """`length` labels of a first-order chain: the first drawn from `start`,
-    each next one from the row of the one before. A None row raises only
-    when the walk has to leave it."""
+    each next one from the row of the one before. A draw picks the first
+    label whose cumulative probability exceeds it, else the last label.
+    A None row raises only when the walk has to leave it."""
+    cumulative = [None if r is None else list(accumulate(r)) for r in rows]
+    last = len(labels) - 1
     out = []
-    probs = start
+    cum = None if start is None else list(accumulate(start))
     for _ in range(length):
-        if probs is None:
+        if cum is None:
             raise InputError(f"non-normalizable row for state {out[-1]!r}")
-        i = _sample_index(rng, probs)
+        i = min(bisect_right(cum, rng.next_float()), last)
         out.append(labels[i])
-        probs = rows[i]
+        cum = cumulative[i]
     return "".join(out)
 
 

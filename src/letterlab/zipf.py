@@ -56,14 +56,6 @@ class PowerLawFit:
         if self.points_used < 2:
             raise InputError("fit needs at least two points")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "points_used": self.points_used,
-        }
-
 
 def word_rank_frequency(words: WordSequence) -> RankFrequency:
     """Rank distinct words by count; the counts sum to the token total."""

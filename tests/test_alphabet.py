@@ -75,6 +75,12 @@ def test_load_alphabet_errors_carry_line_context():
         load_alphabet("name: x\nvowels: a\n")
 
 
+def test_load_alphabet_reads_a_builtin_name_as_a_document():
+    # only builtin_alphabet resolves names; a spec holding one is malformed
+    with pytest.raises(AlphabetSpecError, match="line 1"):
+        load_alphabet("la")
+
+
 def test_normalize_basic(en):
     assert normalize("Crypto-Logy!", en).symbols == "cryptology"
     assert normalize("", en).symbols == ""

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from letterlab.alphabet import load_alphabet
 from letterlab.cli import main
 
 from conftest import data_path
@@ -233,6 +234,30 @@ def test_alphabet_spec_file(capsys, tmp_path):
     assert code == 0
     d = json.loads(out)
     assert d["counts"] == {"a": 4, "b": 1, "c": 2, "t": 1}
+
+
+def test_spec_file_holding_a_builtin_name_is_an_error(capsys, tmp_path):
+    spec = tmp_path / "f.alphabet"
+    spec.write_text("la\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "count", "--alphabet", str(spec), PLAINTEXT)
+    assert code == 1 and out == "" and err.startswith("letterlab: error: line 1")
+
+
+def test_alphabet_spec_is_read_once(capsys, tmp_path, monkeypatch):
+    import letterlab.cli
+
+    spec = tmp_path / "tiny.alphabet"
+    spec.write_text("name: tiny\nletters: abct\nvowels: a\n", encoding="utf-8")
+    calls = []
+
+    def counting_load(text):
+        calls.append(text)
+        return load_alphabet(text)
+
+    monkeypatch.setattr(letterlab.cli, "load_alphabet", counting_load)
+    code, out, _ = run_cli(capsys, "compare", "--alphabet", str(spec), ANALYSIS, TRAINING)
+    assert code == 0 and out
+    assert len(calls) == 1
 
 
 def csv_rows(out: str) -> list[list[str]]:

@@ -19,7 +19,8 @@ from letterlab import (
     to_vc_sequence,
     vc_profile,
 )
-from letterlab.markov import chi_square_tail_df1
+from letterlab.markov import _walk, chi_square_tail_df1
+from letterlab.rng import SplitMix64
 
 
 def counts(vv, vc, cv, cc, initial="V"):
@@ -128,9 +129,10 @@ def test_independence_zero_row_is_degenerate():
 
 
 def test_independence_report_json_fields():
-    d = independence_test(counts(10, 20, 20, 10)).to_json_dict()
-    assert set(d) == {"chi_square", "df", "p_value", "p_vv", "p_vc", "p_cv", "p_cc"}
-    assert math.isclose(d["p_vv"] + d["p_vc"], 1.0)
+    p = independence_test(counts(10, 20, 20, 10)).transition_probabilities
+    assert set(p) == {("V", "V"), ("V", "C"), ("C", "V"), ("C", "C")}
+    for a in "VC":
+        assert math.isclose(p[a, "V"] + p[a, "C"], 1.0)
 
 
 def test_chi_square_tail_reference_point():
@@ -214,3 +216,34 @@ def test_generate_unreachable_zero_row_is_fine():
     t = counts(10, 0, 0, 0)
     out = generate(t, 50, seed=2)
     assert out.states == "V" * 50
+
+
+def _scan_walk(rng, labels, start, rows, length):
+    # the linear scan _walk replaced: the first label whose running sum
+    # of probabilities exceeds the draw, else the last label
+    out, probs = [], start
+    for _ in range(length):
+        u, acc, pick = rng.next_float(), 0.0, len(probs) - 1
+        for i, p in enumerate(probs):
+            acc += p
+            if u < acc:
+                pick = i
+                break
+        out.append(labels[pick])
+        probs = rows[pick]
+    return "".join(out)
+
+
+def test_walk_draws_match_linear_scan():
+    rng = random.Random(11)
+    for trial in range(500):
+        labels = "abcdefg"[: rng.randint(1, 7)]
+        # rows with zeros, and rows summing below 1 so draws can run past the end
+        rows = []
+        for _ in labels:
+            weights = [rng.choice((0.0, rng.random())) for _ in labels]
+            scale = rng.choice((1.0, rng.random())) / (sum(weights) or 1.0)
+            rows.append([w * scale for w in weights])
+        start = rows[rng.randrange(len(rows))]
+        want = _scan_walk(SplitMix64(trial), labels, start, rows, 60)
+        assert _walk(SplitMix64(trial), labels, start, rows, 60) == want
