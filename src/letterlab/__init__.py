@@ -23,6 +23,7 @@ from .cipher import (
     Cryptogram,
     LanguageModel,
     LengthWarning,
+    RestartRecord,
     SolverReport,
     SubstitutionKey,
     decrypt,

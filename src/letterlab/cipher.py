@@ -26,6 +26,8 @@ from .freq import DigramTable, FrequencyTable, count_digrams, count_letters, ran
 from .rng import substream
 
 LENGTH_WARNING_THRESHOLD = 90
+# restarts run one after another, so the count bounds the time of a solve
+MAX_RESTARTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -195,12 +197,24 @@ def _model_rows(path: str, kind: str, header: list[str]):
 
 
 @dataclass(frozen=True)
+class RestartRecord:
+    """What one restart of the hill climb did: the score of its start key,
+    the score it climbed to, and how many swaps it accepted on the way."""
+
+    start_score: float
+    final_score: float
+    swaps: int
+
+
+@dataclass(frozen=True)
 class SolverReport:
     best_key: SubstitutionKey
     best_score: float
     plaintext: LetterSequence
     restarts_run: int
     length_warning: LengthWarning | None
+    # a trace of how the result was found, not part of the result
+    restarts: tuple[RestartRecord, ...] = field(compare=False)
 
 
 def parse_cryptogram(text: str, alphabet: Alphabet, source: str = "cryptogram") -> Cryptogram:
@@ -304,18 +318,27 @@ def hill_climb_solve(
 
     Restart 1 starts from the frequency-match key; later restarts start
     from seeded random keys. Each sweep scores every pairwise swap of
-    mapping targets at once and takes the best strict improvement, the
-    first swap in (i, j) order among equal scores; a restart ends on the
-    first sweep without one, since a sweep is a pure function of the
+    mapping targets at once by its score change alone (Jakobsen, 1995):
+    a swap of symbols i and j moves only rows i, j and columns i, j of
+    the scored digram matrix. The full score then decides among the
+    swaps whose change is within rounding of the best one: the highest
+    full score wins, the first swap in (i, j) order among equal scores,
+    and it is accepted only if it strictly beats the current full score.
+    So a sweep picks what rescoring every swapped key in full would
+    pick, and the climb always ends. A restart ends on the first sweep
+    without an accepted swap, since a sweep is a pure function of the
     assignment and repeating it would change nothing.
     The best key across restarts wins, earliest restart first on ties,
     which also guarantees the result never scores below the
-    frequency-match seed.
+    frequency-match seed. The report keeps one :class:`RestartRecord`
+    per restart.
     """
     if len(c.symbols) == 0:
         raise InputError("empty cryptogram")
     if restarts < 1:
         raise InputError("need at least one restart")
+    if restarts > MAX_RESTARTS:
+        raise InputError(f"at most {MAX_RESTARTS} restarts, got {restarts}")
     if len(c.alphabet.letters) != len(model.alphabet.letters):
         raise InputError("alphabet mismatch")
 
@@ -335,13 +358,19 @@ def hill_climb_solve(
     swapped = np.tile(np.arange(size), (len(first), 1))
     swapped[np.arange(len(first)), first] = second
     swapped[np.arange(len(first)), second] = first
+    # the digram counts that the k-th swap moves from row (column) i to j
+    drow = ndig[second] - ndig[first]
+    dcol = ndig[:, second].T - ndig[:, first].T
+    # far above the rounding error of a delta plus that of two full scores:
+    # a swap whose delta is this far below the best cannot score best in full
+    slack = 1e-9 * ndig.sum() * np.abs(logp).max()
 
-    def scores(cands: np.ndarray) -> np.ndarray:
-        """Score of each row of candidate assignments."""
-        return (ndig * logp[cands[:, :, None], cands[:, None, :]]).sum(axis=(-2, -1))
+    def full_score(a: np.ndarray) -> float:
+        return (ndig * logp[a[:, None], a[None, :]]).sum()
 
     best_assignment: np.ndarray | None = None
     best_score_val = -math.inf
+    records = []
 
     for r in range(1, restarts + 1):
         if r == 1:
@@ -350,14 +379,21 @@ def hill_climb_solve(
             perm = list(range(size))
             substream(seed, r).shuffle(perm)
             assignment = np.array(perm, dtype=np.intp)
-        current = scores(assignment[None])[0]
+        start = current = full_score(assignment)
+        swaps = 0
         while True:
-            cands = assignment[swapped]
-            sweep = scores(cands)
-            k = np.argmax(sweep)
-            if not sweep[k] > current:
+            m = logp[assignment[:, None], assignment[None, :]]
+            delta = (drow * np.take_along_axis(m[first] - m[second], swapped, 1)).sum(1) + (
+                dcol * (m[:, first].T - m[:, second].T)
+            ).sum(1)
+            # the full score decides among the near-best swaps, as it did among all
+            cands = assignment[swapped[delta >= delta.max() - slack]]
+            scores = [full_score(cand) for cand in cands]
+            k = int(np.argmax(scores))
+            if not scores[k] > current:
                 break
-            assignment, current = cands[k], sweep[k]
+            assignment, current, swaps = cands[k], scores[k], swaps + 1
+        records.append(RestartRecord(float(start), float(current), swaps))
         if current > best_score_val:
             best_score_val = current
             best_assignment = assignment
@@ -372,4 +408,5 @@ def hill_climb_solve(
         plaintext=plaintext,
         restarts_run=restarts,
         length_warning=length_check(c, warning_threshold),
+        restarts=tuple(records),
     )

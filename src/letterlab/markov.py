@@ -26,6 +26,8 @@ from .rng import SplitMix64
 VOWEL = "V"
 CONSONANT = "C"
 STATES = (VOWEL, CONSONANT)
+# a walk draws one label at a time in Python, so the length bounds its time
+MAX_GENERATE_LENGTH = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -191,10 +193,13 @@ def generate(model, length: int, seed: int, order: int = 1):
     unigram proportions and order 1 samples smoothed digram rows (the
     smoothing pseudo-count keeps every row normalizable), returning a
     :class:`LetterSequence`. A row that cannot be normalized raises
-    :class:`InputError` when the walk reaches it.
+    :class:`InputError` when the walk reaches it. A length above
+    :data:`MAX_GENERATE_LENGTH` raises before the walk starts.
     """
     if length < 0:
         raise InputError("length must be nonnegative")
+    if length > MAX_GENERATE_LENGTH:
+        raise InputError(f"length must be at most {MAX_GENERATE_LENGTH}, got {length}")
     rng = SplitMix64(seed)
     if isinstance(model, TransitionCounts):
         return _generate_states(model, length, rng)

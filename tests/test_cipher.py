@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import random
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from letterlab import (
     Alphabet,
@@ -314,9 +315,10 @@ def test_solver_reproducible(en, training_model, solver_plaintext):
     assert r1.restarts_run == 4
 
 
-def solve_reference(c, model, restarts, seed):
+def solve_reference(c, model, restarts, seed, with_score=False):
     """Best key of the per-swap double loop (swap, rescore, swap back) that
-    hill_climb_solve's one-expression sweep replaced."""
+    hill_climb_solve's one-expression sweep replaced, and with `with_score`
+    its full score too."""
     size = len(c.symbol_set)
     logp = _log_prob_matrix(model)
     codes = encode(c.symbols, c.symbol_set)
@@ -351,7 +353,8 @@ def solve_reference(c, model, restarts, seed):
             current = best_gain
         if current > best_score:
             best, best_score = a.copy(), current
-    return "".join(c.symbol_set[list(best).index(k)] for k in range(size))
+    key = "".join(c.symbol_set[list(best).index(k)] for k in range(size))
+    return (key, best_score) if with_score else key
 
 
 def test_solver_matches_double_loop_reference(en, analysis_corpus):
@@ -374,6 +377,60 @@ def test_solver_takes_the_first_of_equal_best_swaps():
     report = hill_climb_solve(c, model, restarts=1)
     assert report.plaintext.symbols == "cccccccc"
     assert report.best_key.target_string() == solve_reference(c, model, restarts=1, seed=0)
+
+
+ABCD = Alphabet(name="abcd", letters=tuple("abcd"), vowels=frozenset("a"))
+LA = builtin_alphabet("la")
+
+
+# real ties between swaps whose deltas or full scores differ in the last bit
+@example((LA, "bca", "gbag"), 0, 1)
+@example((LA, "cadcbec", "aaabac"), 0, 1)
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([ABCD, LA]).flatmap(
+        lambda ab: st.tuples(
+            st.just(ab),
+            st.text(alphabet="".join(ab.letters), max_size=300),
+            st.text(alphabet="".join(ab.letters), min_size=1, max_size=300),
+        )
+    ),
+    st.integers(0, 2**64 - 1),
+    st.integers(1, 3),
+)
+def test_solver_matches_double_loop_reference_random(case, seed, restarts):
+    # on four letters most swaps tie, so the first-of-equal rule is exercised
+    alphabet, training, symbols = case
+    model = LanguageModel.train(LetterSequence(alphabet, training))
+    c = Cryptogram(alphabet, symbols, tuple(alphabet.letters))
+    report = hill_climb_solve(c, model, restarts=restarts, seed=seed)
+    expected_key, expected_score = solve_reference(c, model, restarts, seed, with_score=True)
+    assert report.best_key.target_string() == expected_key
+    assert max(r.final_score for r in report.restarts) == expected_score
+
+
+def test_solver_keeps_one_record_per_restart(en, training_model, solver_plaintext):
+    rng = random.Random(61)
+    targets = list(en.letters)
+    rng.shuffle(targets)
+    c = encrypt(LetterSequence(en, solver_plaintext.symbols[:400]), en_key(en, "".join(targets)))
+    report = hill_climb_solve(c, training_model, restarts=5, seed=4)
+    records = report.restarts
+    assert len(records) == 5
+    seed_key = frequency_match_key(count_letters(LetterSequence(en, c.symbols)), training_model.unigram)
+    assert records[0].start_score == pytest.approx(score(decrypt(c, seed_key), training_model), rel=1e-12)
+    for r in records:
+        assert r.final_score >= r.start_score
+        assert (r.swaps == 0) == (r.final_score == r.start_score)
+    best = max(r.final_score for r in records)
+    winner = next(i for i, r in enumerate(records, start=1) if r.final_score == best)
+    assert report.best_score == pytest.approx(best, rel=1e-12)
+    # the earlier restarts alone end lower; adding the winner reaches its key
+    if winner > 1:
+        assert hill_climb_solve(c, training_model, restarts=winner - 1, seed=4).best_score < report.best_score
+    assert hill_climb_solve(c, training_model, restarts=winner, seed=4).best_key == report.best_key
+    # the records trace the search; they take no part in equality
+    assert dataclasses.replace(report, restarts=()) == report
 
 
 def test_solver_empty_cryptogram_errors(en, training_model):

@@ -300,6 +300,34 @@ def test_seed_outside_u64_is_a_data_error(capsys):
     assert code == 0 and out
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("work started before the size check")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["generate", "--vc-corpus", ANALYSIS, "--length", "99999999999999999999"], "length must be at most 10000000"),
+        (["generate", "--model", "{model}", "--length", "10000001"], "length must be at most 10000000"),
+        (["solve", "--model", "{model}", "--restarts", "10001", "{cipher}"], "at most 10000 restarts"),
+    ],
+    ids=["generate-vc", "generate-model", "solve"],
+)
+def test_sizes_above_their_bound_are_data_errors(capsys, monkeypatch, tmp_path, argv, message):
+    import letterlab.cipher
+    import letterlab.markov
+
+    model, cipher = str(tmp_path / "m"), tmp_path / "cipher.txt"
+    assert run_cli(capsys, "train-model", PLAINTEXT, "--out", model)[0] == 0
+    cipher.write_text("wkh txlfn eurzq ira", encoding="utf-8")
+    # the bound is checked before a walk or a solve does any work
+    monkeypatch.setattr(letterlab.markov, "_walk", refuse)
+    monkeypatch.setattr(letterlab.cipher, "_log_prob_matrix", refuse)
+    code, out, err = run_cli(capsys, *(a.format(model=model, cipher=cipher) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("letterlab: error: ") and message in err
+
+
 def test_undecodable_input_is_a_data_error(capsys, monkeypatch, tmp_path):
     import io
 
