@@ -188,11 +188,9 @@ def load_alphabet(spec_text: str) -> Alphabet:
     Raises :class:`AlphabetSpecError` with line context for malformed
     documents, duplicate letters, or vowels outside the letter set.
     """
-    name = None
-    letters: list[str] | None = None
-    vowels: list[str] | None = None
+    # key -> (line number, value) for the keys that must appear exactly once
+    fields: dict[str, tuple[int, str]] = {}
     folds: dict[str, str | None] = {}
-    letters_line = vowels_line = 0
 
     for lineno, raw_line in enumerate(spec_text.splitlines(), start=1):
         line = raw_line.strip()
@@ -203,29 +201,12 @@ def load_alphabet(spec_text: str) -> Alphabet:
             raise AlphabetSpecError(f"line {lineno}: expected 'key: value', got {line!r}")
         key = key.strip()
         value = value.strip()
-        if key == "name":
-            if name is not None:
-                raise AlphabetSpecError(f"line {lineno}: duplicate 'name'")
+        if key in ("name", "letters", "vowels"):
+            if key in fields:
+                raise AlphabetSpecError(f"line {lineno}: duplicate {key!r}")
             if not value:
-                raise AlphabetSpecError(f"line {lineno}: empty name")
-            name = value
-        elif key == "letters":
-            if letters is not None:
-                raise AlphabetSpecError(f"line {lineno}: duplicate 'letters'")
-            letters = [ch for ch in value if not ch.isspace()]
-            letters_line = lineno
-            if not letters:
-                raise AlphabetSpecError(f"line {lineno}: no letters given")
-            if len(set(letters)) != len(letters):
-                dups = sorted({ch for ch in letters if letters.count(ch) > 1})
-                raise AlphabetSpecError(f"line {lineno}: duplicate letters {dups}")
-        elif key == "vowels":
-            if vowels is not None:
-                raise AlphabetSpecError(f"line {lineno}: duplicate 'vowels'")
-            vowels = [ch for ch in value if not ch.isspace()]
-            vowels_line = lineno
-            if not vowels:
-                raise AlphabetSpecError(f"line {lineno}: no vowels given")
+                raise AlphabetSpecError(f"line {lineno}: no {key} given")
+            fields[key] = lineno, value
         elif key == "fold":
             parts = value.split(">")
             if len(parts) != 2:
@@ -242,20 +223,21 @@ def load_alphabet(spec_text: str) -> Alphabet:
         else:
             raise AlphabetSpecError(f"line {lineno}: unknown key {key!r}")
 
-    if name is None:
-        raise AlphabetSpecError("missing 'name' line")
-    if letters is None:
-        raise AlphabetSpecError("missing 'letters' line")
-    if vowels is None:
-        raise AlphabetSpecError("missing 'vowels' line")
-
+    for key in ("name", "letters", "vowels"):
+        if key not in fields:
+            raise AlphabetSpecError(f"missing {key!r} line")
+    (_, name), (letters_line, letters), (vowels_line, vowels) = fields["name"], fields["letters"], fields["vowels"]
+    letters, vowels = "".join(letters.split()), "".join(vowels.split())
     letter_set = set(letters)
+    if len(letter_set) != len(letters):
+        dups = sorted({ch for ch in letters if letters.count(ch) > 1})
+        raise AlphabetSpecError(f"line {letters_line}: duplicate letters {dups}")
     bad_vowels = [v for v in vowels if v not in letter_set]
     if bad_vowels:
         raise AlphabetSpecError(f"line {vowels_line}: vowels not in letters: {bad_vowels}")
     if set(vowels) == letter_set:
         raise AlphabetSpecError(f"line {vowels_line}: vowels must be a strict subset of letters")
-    for src, dst in folds.items():
+    for dst in folds.values():
         if dst is not None and dst not in letter_set:
             raise AlphabetSpecError(f"fold target {dst!r} not in letters (line {letters_line})")
 

@@ -15,6 +15,7 @@ ranks carry too little signal for the seed key to mean much.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -134,66 +135,55 @@ class LanguageModel:
         return self.unigram.alphabet
 
     @classmethod
-    def train(cls, seq: LetterSequence, smoothing: float = 0.5) -> "LanguageModel":
-        return cls(unigram=count_letters(seq), digram=count_digrams(seq), smoothing=smoothing)
+    def train(cls, seq: LetterSequence) -> "LanguageModel":
+        return cls(unigram=count_letters(seq), digram=count_digrams(seq))
 
     def save(self, prefix: str) -> tuple[str, str]:
         """Write <prefix>.unigram.csv and <prefix>.digram.csv; returns the paths."""
-        upath, dpath = f"{prefix}.unigram.csv", f"{prefix}.digram.csv"
-        with open(upath, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["letter", "count"])
-            for ch in self.alphabet.letters:
-                w.writerow([ch, self.unigram.counts[ch]])
-        with open(dpath, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["first", "second", "count"])
-            for a, b in self.digram._ordered_pairs():
-                w.writerow([a, b, self.digram.counts[(a, b)]])
-        return upath, dpath
+        paths = f"{prefix}.unigram.csv", f"{prefix}.digram.csv"
+        tables = (
+            [["letter", "count"]] + [[ch, self.unigram.counts[ch]] for ch in self.alphabet.letters],
+            [["first", "second", "count"]] + [[*p, self.digram.counts[p]] for p in self.digram._ordered_pairs()],
+        )
+        for path, rows in zip(paths, tables):
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+        return paths
 
     @classmethod
-    def load(cls, prefix: str, alphabet: Alphabet, smoothing: float = 0.5) -> "LanguageModel":
-        """Read the two CSV tables written by :meth:`save`.
-
-        A letter (unigram file) or pair (digram file) listed twice is an
-        error naming the line that repeats it.
-        """
-        ucounts: dict[str, int] = {}
-        for lineno, (letter, count) in _model_rows(f"{prefix}.unigram.csv", "unigram", ["letter", "count"]):
-            if letter in ucounts:
-                raise InputError(f"unigram file line {lineno}: repeated letter {letter!r}")
-            ucounts[letter] = count
-        dcounts: dict[tuple[str, str], int] = {}
-        for lineno, (first, second, count) in _model_rows(
-            f"{prefix}.digram.csv", "digram", ["first", "second", "count"]
-        ):
-            if (first, second) in dcounts:
-                raise InputError(f"digram file line {lineno}: repeated pair {first + second!r}")
-            dcounts[(first, second)] = count
-        unigram = FrequencyTable.from_counts(alphabet, ucounts)
-        digram = DigramTable(alphabet, dcounts, sum(dcounts.values()))
-        return cls(unigram=unigram, digram=digram, smoothing=smoothing)
+    def load(cls, prefix: str, alphabet: Alphabet) -> "LanguageModel":
+        """Read the two CSV tables written by :meth:`save`."""
+        ucounts = _model_table(f"{prefix}.unigram.csv", "unigram", ["letter", "count"])
+        dcounts = _model_table(f"{prefix}.digram.csv", "digram", ["first", "second", "count"])
+        unigram = FrequencyTable.from_counts(alphabet, {letter: n for (letter,), n in ucounts.items()})
+        return cls(unigram, DigramTable(alphabet, dcounts, sum(dcounts.values())))
 
 
-def _model_rows(path: str, kind: str, header: list[str]):
-    """(line number, row) for each data row of a model CSV, last field as int."""
+def _model_table(path: str, kind: str, header: list[str]) -> dict[tuple[str, ...], int]:
+    """Counts of a model CSV keyed by each row's leading fields. A letter
+    (unigram file) or pair (digram file) listed twice is an error naming
+    the line that repeats it."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+            # decoded whole, so a decode error's byte offset counts from the file start
+            rows = list(csv.reader(io.StringIO(fh.read(), newline="")))
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot decode {path!r} as UTF-8: {exc.reason} at byte {exc.start}") from None
     if not rows or rows[0] != header:
         raise InputError(f"{kind} file must start with header '{','.join(header)}'")
-    out = []
+    counts: dict[tuple[str, ...], int] = {}
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise InputError(f"{kind} file line {lineno}: expected {len(header)} fields")
-        try:
-            out.append((lineno, (*row[:-1], int(row[-1]))))
-        except ValueError:
-            raise InputError(f"{kind} file line {lineno}: bad count {row[-1]!r}") from None
-    return out
+        key, count = tuple(row[:-1]), row[-1]
+        if key in counts:
+            what = "letter" if len(key) == 1 else "pair"
+            raise InputError(f"{kind} file line {lineno}: repeated {what} {''.join(key)!r}")
+        # plain digits, below 10**18: every sum of counts then converts to a float
+        if not (count.isdecimal() and len(count) <= 18):
+            raise InputError(f"{kind} file line {lineno}: bad count {count!r}")
+        counts[key] = int(count)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -339,7 +329,7 @@ def hill_climb_solve(
         raise InputError("need at least one restart")
     if restarts > MAX_RESTARTS:
         raise InputError(f"at most {MAX_RESTARTS} restarts, got {restarts}")
-    if len(c.alphabet.letters) != len(model.alphabet.letters):
+    if c.alphabet != model.alphabet:
         raise InputError("alphabet mismatch")
 
     size = len(c.symbol_set)

@@ -337,10 +337,13 @@ def _generate(args) -> Report:
     if (args.model is None) == (args.vc_corpus is None):
         raise InputError("generate requires exactly one of --model or --vc-corpus")
     if args.model is not None:
+        order = 1 if args.order is None else args.order
         model = LanguageModel.load(args.model, args.alphabet)
-        sequence = generate(model, args.length, seed=args.seed, order=args.order).symbols
-        mode, order = f"order-{args.order}", args.order
+        sequence = generate(model, args.length, seed=args.seed, order=order).symbols
+        mode = f"order-{order}"
     else:
+        if args.order is not None:
+            raise InputError("generate --order applies to --model only")
         chain = fit_transitions(to_vc_sequence(_corpus(args, args.vc_corpus)))
         sequence = generate(chain, args.length, seed=args.seed).states
         mode, order = "vc-chain", ""
@@ -504,7 +507,7 @@ COMMANDS = (
         options={
             "--model": dict(help="model file prefix (from train-model)"),
             "--vc-corpus": dict(help="fit a V/C chain from this corpus instead"),
-            "--order": dict(type=int, default=1, choices=(0, 1)),
+            "--order": dict(type=int, choices=(0, 1), help="with --model: 0 or 1 (default 1)"),
             "--length": dict(type=int, required=True),
         },
     ),

@@ -75,6 +75,66 @@ def test_load_alphabet_errors_carry_line_context():
         load_alphabet("name: x\nvowels: a\n")
 
 
+SPEC = "name: t\nletters: abc\nvowels: a\n"
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("name t\n", "line 1: expected 'key: value', got 'name t'"),
+        (SPEC + "name: u\n", "line 4: duplicate 'name'"),
+        (SPEC + "letters: abc\n", "line 4: duplicate 'letters'"),
+        (SPEC + "vowels: a\n", "line 4: duplicate 'vowels'"),
+        ("name:\nletters: abc\nvowels: a\n", "line 1: no name given"),
+        ("name: t\nletters:  \nvowels: a\n", "line 2: no letters given"),
+        ("name: t\nletters: abc\nvowels:\n", "line 3: no vowels given"),
+        (SPEC + "fold: b\n", "line 4: fold must look like 'x > y' or 'x > -'"),
+        (SPEC + "fold: b > c > a\n", "line 4: fold must look like 'x > y' or 'x > -'"),
+        (SPEC + "fold:  > a\n", "line 4: fold source must be one character, got ''"),
+        (SPEC + "fold: éé > a\n", "line 4: fold source must be one character, got 'éé'"),
+        (SPEC + "fold: é >\n", "line 4: fold target must be one character or '-', got ''"),
+        (SPEC + "fold: é > ab\n", "line 4: fold target must be one character or '-', got 'ab'"),
+        (SPEC + "fold: É > a\nfold: é > -\n", "line 5: duplicate fold for 'é'"),
+        (SPEC + "colour: red\n", "line 4: unknown key 'colour'"),
+        ("letters: abc\nvowels: a\n", "missing 'name' line"),
+        ("name: t\nvowels: a\n", "missing 'letters' line"),
+        ("name: t\nletters: abc\n", "missing 'vowels' line"),
+        ("name: t\nletters: ab cab\nvowels: a\n", "line 2: duplicate letters ['a', 'b']"),
+        ("name: t\nletters: abc\nvowels: a q z\n", "line 3: vowels not in letters: ['q', 'z']"),
+        ("name: t\nletters: abc\nvowels: cba\n", "line 3: vowels must be a strict subset of letters"),
+        ("name: t\n# folds\nletters: abc\nvowels: a\nfold: é > e\n", "fold target 'e' not in letters (line 3)"),
+    ],
+    ids=[
+        "no-colon",
+        "repeated-name",
+        "repeated-letters",
+        "repeated-vowels",
+        "empty-name",
+        "empty-letters",
+        "empty-vowels",
+        "fold-no-arrow",
+        "fold-two-arrows",
+        "fold-empty-source",
+        "fold-long-source",
+        "fold-empty-target",
+        "fold-long-target",
+        "fold-repeated",
+        "unknown-key",
+        "missing-name",
+        "missing-letters",
+        "missing-vowels",
+        "duplicate-letters",
+        "vowel-not-letter",
+        "vowels-are-letters",
+        "fold-target-not-letter",
+    ],
+)
+def test_load_alphabet_error_messages(spec, message):
+    with pytest.raises(AlphabetSpecError) as excinfo:
+        load_alphabet(spec)
+    assert str(excinfo.value) == message
+
+
 def test_load_alphabet_reads_a_builtin_name_as_a_document():
     # only builtin_alphabet resolves names; a spec holding one is malformed
     with pytest.raises(AlphabetSpecError, match="line 1"):

@@ -438,6 +438,19 @@ def test_solver_empty_cryptogram_errors(en, training_model):
         hill_climb_solve(Cryptogram(en, "", tuple(en.letters)), training_model)
 
 
+def test_solver_rejects_a_model_over_another_alphabet_before_any_restart(monkeypatch, training_model):
+    # en-y-vowel has as many letters as en, so only the alphabets themselves differ
+    y_vowel = builtin_alphabet("en-y-vowel")
+    c = parse_cryptogram("wkh txlfn eurzq ira mxpsv ryhu wkh odcb grj", y_vowel)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solve started before the alphabet check")
+
+    monkeypatch.setattr("letterlab.cipher._log_prob_matrix", refuse)
+    with pytest.raises(InputError, match="^alphabet mismatch$"):
+        hill_climb_solve(c, training_model, restarts=50)
+
+
 def test_homophonic_encryption_degrades_solver(en, analysis_corpus, training_model):
     # leveling out frequencies is the classic countermeasure: hiding
     # alternate e's behind an unused symbol must cost the solver accuracy
@@ -506,3 +519,84 @@ def test_model_load_rejects_repeated_rows(tmp_path, en, unigram, digram, message
     (tmp_path / "m.digram.csv").write_text(digram, encoding="utf-8")
     with pytest.raises(InputError, match=message):
         LanguageModel.load(str(tmp_path / "m"), en)
+
+
+@pytest.mark.parametrize(
+    "unigram, digram, message",
+    [
+        (b"letter;count\n", b"first,second,count\n", "unigram file must start with header 'letter,count'"),
+        (b"", b"first,second,count\n", "unigram file must start with header 'letter,count'"),
+        (b"letter,count\n", b"first,count\n", "digram file must start with header 'first,second,count'"),
+        (b"letter,count\na,1,2\n", b"first,second,count\n", "unigram file line 2: expected 2 fields"),
+        (b"letter,count\n", b"first,second,count\na,b,1\nab,1\n", "digram file line 3: expected 3 fields"),
+        (b"letter,count\na,x\n", b"first,second,count\n", "unigram file line 2: bad count 'x'"),
+        (b"letter,count\n", b"first,second,count\na,b,1.5\n", "digram file line 2: bad count '1.5'"),
+        (b"letter,count\na,-4\n", b"first,second,count\n", "unigram file line 2: bad count '-4'"),
+        (b"letter,count\n", b"first,second,count\na,b,+1\n", "digram file line 2: bad count '+1'"),
+        (b"letter,count\n", b"first,second,count\na,b,%d\n" % 10**18, f"digram file line 2: bad count '{10**18}'"),
+        (b"letter,count\na,3\nb,1\na,2\n", b"first,second,count\n", "unigram file line 4: repeated letter 'a'"),
+        (b"letter,count\n", b"first,second,count\na,b,1\na,b,1\n", "digram file line 3: repeated pair 'ab'"),
+        (
+            b"letter,count\na,1\n\xff\n",
+            b"first,second,count\n",
+            "cannot decode '{prefix}.unigram.csv' as UTF-8: invalid start byte at byte 17",
+        ),
+    ],
+    ids=[
+        "unigram-header",
+        "empty-unigram",
+        "digram-header",
+        "unigram-fields",
+        "digram-fields",
+        "unigram-count",
+        "digram-count",
+        "negative-count",
+        "signed-count",
+        "huge-count",
+        "repeated-letter",
+        "repeated-pair",
+        "undecodable",
+    ],
+)
+def test_model_file_error_messages(tmp_path, en, unigram, digram, message):
+    prefix = str(tmp_path / "m")
+    (tmp_path / "m.unigram.csv").write_bytes(unigram)
+    (tmp_path / "m.digram.csv").write_bytes(digram)
+    with pytest.raises(InputError) as excinfo:
+        LanguageModel.load(prefix, en)
+    assert str(excinfo.value) == message.format(prefix=prefix)
+
+
+def test_model_counts_of_up_to_18_digits_load(tmp_path, en):
+    (tmp_path / "m.unigram.csv").write_text(f"letter,count\na,{10**18 - 1}\n", encoding="utf-8")
+    (tmp_path / "m.digram.csv").write_text(f"first,second,count\na,b,{10**18 - 1}\n", encoding="utf-8")
+    model = LanguageModel.load(str(tmp_path / "m"), en)
+    assert model.unigram.counts["a"] == model.digram.counts["a", "b"] == 10**18 - 1
+
+
+def test_model_file_decode_error_counts_bytes_from_the_file_start(tmp_path, en):
+    # past the first 8 KiB a line-by-line read reports the offset within a later chunk
+    pairs = [(a, b) for a in en.letters for b in en.letters]
+    rows = "".join(f"{a},{b},{10**12 + i}\n" for i, (a, b) in enumerate(pairs))
+    data = ("first,second,count\n" + rows).encode()
+    assert len(data) > 10_001
+    (tmp_path / "m.unigram.csv").write_text("letter,count\n", encoding="utf-8")
+    (tmp_path / "m.digram.csv").write_bytes(data[:10_000] + b"\xff" + data[10_000:])
+    with pytest.raises(InputError, match="invalid start byte at byte 10000$"):
+        LanguageModel.load(str(tmp_path / "m"), en)
+
+
+def test_model_save_load_round_trip_quotes_cells_and_keeps_zero_pairs(tmp_path):
+    ab = Alphabet(name="punct", letters=("a", ",", '"'), vowels=frozenset("a"))
+    pairs = {('"', "a"): 2, ("a", ","): 0, (",", '"'): 3, ("a", "a"): 0}
+    model = LanguageModel(FrequencyTable.from_counts(ab, {"a": 2, ",": 0, '"': 3}), DigramTable(ab, pairs, 5))
+    upath, dpath = model.save(str(tmp_path / "p"))
+    with open(upath, encoding="utf-8", newline="") as fh:
+        assert fh.read() == 'letter,count\r\na,2\r\n",",0\r\n"""",3\r\n'
+    with open(dpath, encoding="utf-8", newline="") as fh:
+        assert fh.read() == (
+            'first,second,count\r\na,a,0\r\na,",",0\r\n",","""",3\r\n"""",a,2\r\n'
+        )
+    loaded = LanguageModel.load(str(tmp_path / "p"), ab)
+    assert loaded == model
+    assert loaded.digram.counts == pairs

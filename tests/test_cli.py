@@ -328,6 +328,30 @@ def test_sizes_above_their_bound_are_data_errors(capsys, monkeypatch, tmp_path, 
     assert err.startswith("letterlab: error: ") and message in err
 
 
+def test_generate_order_applies_to_model_only(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "generate", "--vc-corpus", ANALYSIS, "--order", "0", "--length", "5")
+    assert code == 1 and out == "" and err == "letterlab: error: generate --order applies to --model only\n"
+    model = str(tmp_path / "m")
+    assert run_cli(capsys, "train-model", PLAINTEXT, "--out", model)[0] == 0
+    # without --order, --model walks order 1 and the csv says so
+    for argv, order in [((), "1"), (("--order", "0"), "0")]:
+        code, out, _ = run_cli(capsys, "generate", "--model", model, "--length", "5", "--format", "csv", *argv)
+        assert code == 0 and csv_rows(out)[1][:2] == [f"order-{order}", order]
+
+
+def test_model_counts_too_large_for_a_float_are_data_errors(capsys, tmp_path):
+    # such a count once escaped as an OverflowError from the solver's log probabilities
+    huge = 10**400
+    (tmp_path / "m.unigram.csv").write_text(f"letter,count\na,{huge}\n", encoding="utf-8")
+    (tmp_path / "m.digram.csv").write_text(f"first,second,count\na,b,{huge}\n", encoding="utf-8")
+    cipher = tmp_path / "cipher.txt"
+    cipher.write_text("wkh txlfn eurzq ira", encoding="utf-8")
+    model = str(tmp_path / "m")
+    for argv in (["solve", str(cipher), "--model", model], ["generate", "--model", model, "--length", "5"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and err == f"letterlab: error: unigram file line 2: bad count '{huge}'\n"
+
+
 def test_undecodable_input_is_a_data_error(capsys, monkeypatch, tmp_path):
     import io
 
