@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alphabet import Alphabet, LetterSequence, encode, first_foreign
-from .errors import InputError
-from .freq import DigramTable, FrequencyTable, count_digrams, count_letters, rank_order
+from .errors import InputError, read_text
+from .freq import DigramTable, FrequencyTable, count_digrams, count_letters, ordered_sum, rank_order
 from .rng import substream
 
 LENGTH_WARNING_THRESHOLD = 90
@@ -153,35 +153,36 @@ class LanguageModel:
     @classmethod
     def load(cls, prefix: str, alphabet: Alphabet) -> "LanguageModel":
         """Read the two CSV tables written by :meth:`save`."""
-        ucounts = _model_table(f"{prefix}.unigram.csv", "unigram", ["letter", "count"])
-        dcounts = _model_table(f"{prefix}.digram.csv", "digram", ["first", "second", "count"])
+        ucounts = _model_table(f"{prefix}.unigram.csv", "unigram", ["letter", "count"], alphabet)
+        dcounts = _model_table(f"{prefix}.digram.csv", "digram", ["first", "second", "count"], alphabet)
         unigram = FrequencyTable.from_counts(alphabet, {letter: n for (letter,), n in ucounts.items()})
         return cls(unigram, DigramTable(alphabet, dcounts, sum(dcounts.values())))
 
 
-def _model_table(path: str, kind: str, header: list[str]) -> dict[tuple[str, ...], int]:
-    """Counts of a model CSV keyed by each row's leading fields. A letter
-    (unigram file) or pair (digram file) listed twice is an error naming
-    the line that repeats it."""
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            # decoded whole, so a decode error's byte offset counts from the file start
-            rows = list(csv.reader(io.StringIO(fh.read(), newline="")))
-    except UnicodeDecodeError as exc:
-        raise InputError(f"cannot decode {path!r} as UTF-8: {exc.reason} at byte {exc.start}") from None
-    if not rows or rows[0] != header:
+def _model_table(path: str, kind: str, header: list[str], alphabet: Alphabet) -> dict[tuple[str, ...], int]:
+    """Counts of a model CSV keyed by each row's letters. An error names the
+    file kind and the line its record starts on, such as a letter outside
+    `alphabet` or a letter (unigram file) or pair (digram file) listed twice."""
+    rows = csv.reader(io.StringIO(read_text(path), newline=""))
+    if next(rows, None) != header:
         raise InputError(f"{kind} file must start with header '{','.join(header)}'")
     counts: dict[tuple[str, ...], int] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
+    start = rows.line_num + 1
+    for row in rows:
+        # a quoted cell may hold newlines, so a record can end lines after it starts
+        where, start = f"{kind} file line {start}", rows.line_num + 1
         if len(row) != len(header):
-            raise InputError(f"{kind} file line {lineno}: expected {len(header)} fields")
+            raise InputError(f"{where}: expected {len(header)} fields")
         key, count = tuple(row[:-1]), row[-1]
+        for ch in key:
+            if ch not in alphabet:
+                raise InputError(f"{where}: letter {ch!r} not in alphabet {alphabet.name!r}")
         if key in counts:
             what = "letter" if len(key) == 1 else "pair"
-            raise InputError(f"{kind} file line {lineno}: repeated {what} {''.join(key)!r}")
+            raise InputError(f"{where}: repeated {what} {''.join(key)!r}")
         # plain digits, below 10**18: every sum of counts then converts to a float
         if not (count.isdecimal() and len(count) <= 18):
-            raise InputError(f"{kind} file line {lineno}: bad count {count!r}")
+            raise InputError(f"{where}: bad count {count!r}")
         counts[key] = int(count)
     return counts
 
@@ -281,12 +282,7 @@ def score(seq: LetterSequence, model: LanguageModel) -> float:
     if len(seq.symbols) == 0:
         raise InputError("empty sequence")
     codes = encode(seq.symbols, seq.alphabet.letters)
-    total = 0.0
-    # added strictly left to right: sum() (compensated from Python 3.12) and
-    # np.sum (pairwise) would move the last bits of the score
-    for term in _log_prob_matrix(model)[codes[:-1], codes[1:]].tolist():
-        total += term
-    return total
+    return ordered_sum(_log_prob_matrix(model)[codes[:-1], codes[1:]].tolist())
 
 
 def _log_prob_matrix(model: LanguageModel) -> np.ndarray:
@@ -355,6 +351,7 @@ def hill_climb_solve(
     # a swap whose delta is this far below the best cannot score best in full
     slack = 1e-9 * ndig.sum() * np.abs(logp).max()
 
+    # np.sum only ranks swaps here; the reported best_score comes from score()
     def full_score(a: np.ndarray) -> float:
         return (ndig * logp[a[:, None], a[None, :]]).sum()
 

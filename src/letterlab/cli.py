@@ -32,7 +32,7 @@ from .alphabet import (
     tokenize_words,
 )
 from .cipher import LanguageModel, hill_climb_solve, parse_cryptogram
-from .errors import InputError
+from .errors import InputError, read_text
 from .freq import (
     compare_tables,
     count_digrams,
@@ -100,23 +100,11 @@ def _table(header: list[str], records: list[dict], lines: list[str]) -> Report:
     return Report(header, [list(map(_cell, r.values())) for r in records], records, lines)
 
 
-def _read_text(path: str) -> str:
-    try:
-        if path == "-":
-            return sys.stdin.read()
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path!r}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        raise InputError(f"cannot decode {path!r} as UTF-8: {exc.reason} at byte {exc.start}") from None
-
-
 def _resolve_alphabet(name_or_path: str) -> Alphabet:
     if name_or_path in builtin_names():
         return builtin_alphabet(name_or_path)
     if os.path.exists(name_or_path):
-        return load_alphabet(_read_text(name_or_path))
+        return load_alphabet(read_text(name_or_path))
     raise InputError(
         f"{name_or_path!r} is neither a builtin alphabet ({', '.join(builtin_names())}) "
         "nor a readable spec file"
@@ -125,7 +113,7 @@ def _resolve_alphabet(name_or_path: str) -> Alphabet:
 
 def _corpus(args: argparse.Namespace, path: str, parse=normalize):
     """`parse` (normalize, tokenize_words or parse_cryptogram) of `path` over --alphabet."""
-    return parse(_read_text(path), args.alphabet, source=path)
+    return parse(read_text(path), args.alphabet, source=path)
 
 
 # ---------------------------------------------------------------- tables

@@ -205,31 +205,30 @@ def proportion_ci(count: int, total: int, level: float = 0.95) -> ConfidenceInte
 
 
 def _average_ranks(values: list[int]) -> list[float]:
-    # rank 1 = largest value; tied values share the average of their ranks
-    order = sorted(range(len(values)), key=lambda i: -values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
-    return ranks
+    # rank 1 = largest value; tied values share the mean of their first and last rank
+    first, last = {}, {}
+    for rank, v in enumerate(sorted(values, reverse=True), start=1):
+        first.setdefault(v, rank)
+        last[v] = rank
+    return [(first[v] + last[v]) / 2 for v in values]
 
 
-def _pearson(xs: list[float], ys: list[float]) -> float:
-    n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    syy = sum((y - my) ** 2 for y in ys)
-    if sxx == 0.0 or syy == 0.0:
-        return 1.0 if xs == ys else 0.0
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    return sxy / math.sqrt(sxx * syy)
+def ordered_sum(values) -> float:
+    """Sum added strictly left to right from 0.0, for every float a report
+    prints: sum() (compensated from Python 3.12) and np.sum (pairwise)
+    would move the last bits of the result."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def moments(xs: list[float], ys: list[float]) -> tuple[float, float, float, float, float]:
+    """Means and centred sums of squares and products: (mx, my, sxx, syy, sxy)."""
+    mx, my = ordered_sum(xs) / len(xs), ordered_sum(ys) / len(ys)
+    sxx = ordered_sum((x - mx) ** 2 for x in xs)
+    syy = ordered_sum((y - my) ** 2 for y in ys)
+    return mx, my, sxx, syy, ordered_sum((x - mx) * (y - my) for x, y in zip(xs, ys))
 
 
 def compare_tables(a: FrequencyTable, b: FrequencyTable) -> TableDistance:
@@ -246,21 +245,25 @@ def compare_tables(a: FrequencyTable, b: FrequencyTable) -> TableDistance:
     if a.total == 0 or b.total == 0:
         raise InputError("cannot compare an empty table")
     letters = a.alphabet.letters
-    tv = 0.5 * sum(abs(a.proportion(ch) - b.proportion(ch)) for ch in letters)
+    tv = 0.5 * ordered_sum(abs(a.proportion(ch) - b.proportion(ch)) for ch in letters)
 
-    chi = 0.0
+    def cell(observed: int, expected: float) -> float:
+        return (observed - expected) ** 2 / expected
+
     na, nb = a.total, b.total
-    for ch in letters:
-        pooled = a.counts[ch] + b.counts[ch]
-        if pooled == 0:
-            continue
-        ea = na * pooled / (na + nb)
-        eb = nb * pooled / (na + nb)
-        chi += (a.counts[ch] - ea) ** 2 / ea + (b.counts[ch] - eb) ** 2 / eb
+    chi = ordered_sum(
+        cell(a.counts[ch], na * pooled / (na + nb)) + cell(b.counts[ch], nb * pooled / (na + nb))
+        for ch in letters
+        if (pooled := a.counts[ch] + b.counts[ch])
+    )
 
     ranks_a = _average_ranks([a.counts[ch] for ch in letters])
     ranks_b = _average_ranks([b.counts[ch] for ch in letters])
-    rho = _pearson(ranks_a, ranks_b)
+    _, _, sxx, syy, sxy = moments(ranks_a, ranks_b)
+    if sxx == 0.0 or syy == 0.0:
+        rho = 1.0 if ranks_a == ranks_b else 0.0
+    else:
+        rho = sxy / math.sqrt(sxx * syy)
     return TableDistance(total_variation=tv, chi_square=chi, rank_correlation=rho)
 
 

@@ -20,7 +20,7 @@ from itertools import accumulate
 
 from .alphabet import Alphabet, LetterSequence
 from .errors import InputError
-from .freq import DigramTable, FrequencyTable
+from .freq import DigramTable, FrequencyTable, ordered_sum
 from .rng import SplitMix64
 
 VOWEL = "V"
@@ -134,16 +134,10 @@ def independence_test(t: TransitionCounts, continuity_correction: bool = False) 
         raise InputError("degenerate chain: a row total is zero")
     total = t.total
     cols = {b: t.n[(VOWEL, b)] + t.n[(CONSONANT, b)] for b in STATES}
-    chi = 0.0
-    for a in STATES:
-        for b in STATES:
-            expected = rows[a] * cols[b] / total
-            if expected == 0.0:
-                continue
-            diff = abs(t.n[(a, b)] - expected)
-            if continuity_correction:
-                diff = max(diff - 0.5, 0.0)
-            chi += diff * diff / expected
+    shift = 0.5 if continuity_correction else 0.0
+    expected = {(a, b): rows[a] * cols[b] / total for a in STATES for b in STATES}
+    cells = [(max(abs(t.n[k] - e) - shift, 0.0), e) for k, e in expected.items() if e != 0.0]
+    chi = ordered_sum(d * d / e for d, e in cells)
     return MarkovTestReport(
         chi_square=chi,
         degrees_of_freedom=1,
@@ -167,19 +161,10 @@ def entropy_estimates(unigram: FrequencyTable, digram: DigramTable) -> EntropyRe
     if unigram.total == 0 or digram.total == 0:
         raise InputError("empty table")
     h0 = math.log2(len(unigram.alphabet.letters))
-    h1 = 0.0
-    for ch in unigram.alphabet.letters:
-        p = unigram.proportion(ch)
-        if p > 0.0:
-            h1 -= p * math.log2(p)
+    # 0.0 - x, not -x: a zero sum must print as 0.0, not -0.0
+    h1 = 0.0 - ordered_sum(p * math.log2(p) for p in map(unigram.proportion, unigram.alphabet.letters) if p > 0.0)
     rows = digram.row_totals()
-    h2 = 0.0
-    for (a, b), n in digram.counts.items():
-        if n == 0:
-            continue
-        joint = n / digram.total
-        conditional = n / rows[a]
-        h2 -= joint * math.log2(conditional)
+    h2 = 0.0 - ordered_sum(n / digram.total * math.log2(n / rows[a]) for (a, _), n in digram.counts.items() if n)
     return EntropyReport(h0=h0, h1=h1, h2=h2)
 
 

@@ -183,6 +183,7 @@ def _binom_cdf(k: int, n: int, p: float) -> float:
     lp, lq = math.log(p), math.log1p(-p)
     lg_n = math.lgamma(n + 1)
     total = 0.0
+    # inline, not ordered_sum: ~1.2M terms per corpus pass, where a generator is 10-15% slower
     for i in range(k + 1):
         total += math.exp(lg_n - math.lgamma(i + 1) - math.lgamma(n - i + 1) + i * lp + (n - i) * lq)
     return min(total, 1.0)

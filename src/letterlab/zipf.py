@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .alphabet import WordSequence
 from .errors import InputError
+from .freq import moments
 
 
 @dataclass(frozen=True)
@@ -74,15 +75,11 @@ def fit_power_law(rf: RankFrequency, min_count: int = 5) -> PowerLawFit:
     such points are required. Scaling all counts by a constant moves
     the intercept and leaves the exponent unchanged.
     """
-    points = [(math.log(e.rank), math.log(e.count)) for e in rf.entries if e.count >= min_count]
-    if len(points) < 2:
-        raise InputError(f"need at least 2 entries with count >= {min_count}, have {len(points)}")
-    n = len(points)
-    mx = sum(x for x, _ in points) / n
-    my = sum(y for _, y in points) / n
-    sxx = sum((x - mx) ** 2 for x, _ in points)
-    sxy = sum((x - mx) * (y - my) for x, y in points)
-    syy = sum((y - my) ** 2 for _, y in points)
+    used = [e for e in rf.entries if e.count >= min_count]
+    n = len(used)
+    if n < 2:
+        raise InputError(f"need at least 2 entries with count >= {min_count}, have {n}")
+    mx, my, sxx, syy, sxy = moments([math.log(e.rank) for e in used], [math.log(e.count) for e in used])
     if sxx == 0.0:
         raise InputError("degenerate fit: all ranks identical")
     slope = sxy / sxx

@@ -541,6 +541,37 @@ def test_model_load_rejects_repeated_rows(tmp_path, en, unigram, digram, message
             b"first,second,count\n",
             "cannot decode '{prefix}.unigram.csv' as UTF-8: invalid start byte at byte 17",
         ),
+        # a record is named by the line it starts on: this one ends on line 3
+        (
+            b'letter,count\n"a\nb",1\na,2\na,3\n',
+            b"first,second,count\n",
+            "unigram file line 2: letter 'a\\nb' not in alphabet 'en'",
+        ),
+        (
+            b"letter,count\n",
+            b'first,second,count\na,b,1\n"c\n",d,1\n',
+            "digram file line 3: letter 'c\\n' not in alphabet 'en'",
+        ),
+        (
+            "letter,count\né,1\n".encode(),
+            b"first,second,count\n",
+            "unigram file line 2: letter 'é' not in alphabet 'en'",
+        ),
+        (
+            b"letter,count\nab,1\n",
+            b"first,second,count\n",
+            "unigram file line 2: letter 'ab' not in alphabet 'en'",
+        ),
+        (
+            b"letter,count\n",
+            "first,second,count\na,é,1\n".encode(),
+            "digram file line 2: letter 'é' not in alphabet 'en'",
+        ),
+        (
+            b"letter,count\n",
+            b"first,second,count\na,b,1\nab,c,1\n",
+            "digram file line 3: letter 'ab' not in alphabet 'en'",
+        ),
     ],
     ids=[
         "unigram-header",
@@ -556,6 +587,12 @@ def test_model_load_rejects_repeated_rows(tmp_path, en, unigram, digram, message
         "repeated-letter",
         "repeated-pair",
         "undecodable",
+        "multiline-record",
+        "multiline-record-after-lines",
+        "unigram-foreign-letter",
+        "unigram-two-letters",
+        "digram-foreign-letter",
+        "digram-two-letters",
     ],
 )
 def test_model_file_error_messages(tmp_path, en, unigram, digram, message):

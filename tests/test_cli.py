@@ -352,6 +352,16 @@ def test_model_counts_too_large_for_a_float_are_data_errors(capsys, tmp_path):
         assert code == 1 and out == "" and err == f"letterlab: error: unigram file line 2: bad count '{huge}'\n"
 
 
+def test_missing_model_file_is_a_data_error(capsys, tmp_path):
+    cipher = tmp_path / "cipher.txt"
+    cipher.write_text("wkh txlfn eurzq ira", encoding="utf-8")
+    missing = str(tmp_path / "nosuch")
+    for argv in (["generate", "--model", missing, "--length", "5"], ["solve", str(cipher), "--model", str(tmp_path)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and err.startswith("letterlab: error: cannot read ")
+        assert err.endswith(".unigram.csv': No such file or directory\n")
+
+
 def test_undecodable_input_is_a_data_error(capsys, monkeypatch, tmp_path):
     import io
 
