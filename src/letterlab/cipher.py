@@ -164,26 +164,30 @@ def _model_table(path: str, kind: str, header: list[str], alphabet: Alphabet) ->
     file kind and the line its record starts on, such as a letter outside
     `alphabet` or a letter (unigram file) or pair (digram file) listed twice."""
     rows = csv.reader(io.StringIO(read_text(path), newline=""))
-    if next(rows, None) != header:
-        raise InputError(f"{kind} file must start with header '{','.join(header)}'")
     counts: dict[tuple[str, ...], int] = {}
-    start = rows.line_num + 1
-    for row in rows:
-        # a quoted cell may hold newlines, so a record can end lines after it starts
-        where, start = f"{kind} file line {start}", rows.line_num + 1
-        if len(row) != len(header):
-            raise InputError(f"{where}: expected {len(header)} fields")
-        key, count = tuple(row[:-1]), row[-1]
-        for ch in key:
-            if ch not in alphabet:
-                raise InputError(f"{where}: letter {ch!r} not in alphabet {alphabet.name!r}")
-        if key in counts:
-            what = "letter" if len(key) == 1 else "pair"
-            raise InputError(f"{where}: repeated {what} {''.join(key)!r}")
-        # plain digits, below 10**18: every sum of counts then converts to a float
-        if not (count.isdecimal() and len(count) <= 18):
-            raise InputError(f"{where}: bad count {count!r}")
-        counts[key] = int(count)
+    start = 1  # the line the next record starts on
+    try:
+        if next(rows, None) != header:
+            raise InputError(f"{kind} file must start with header '{','.join(header)}'")
+        start = rows.line_num + 1
+        for row in rows:
+            # a quoted cell may hold newlines, so a record can end lines after it starts
+            where, start = f"{kind} file line {start}", rows.line_num + 1
+            if len(row) != len(header):
+                raise InputError(f"{where}: expected {len(header)} fields")
+            key, count = tuple(row[:-1]), row[-1]
+            for ch in key:
+                if ch not in alphabet:
+                    raise InputError(f"{where}: letter {ch!r} not in alphabet {alphabet.name!r}")
+            if key in counts:
+                what = "letter" if len(key) == 1 else "pair"
+                raise InputError(f"{where}: repeated {what} {''.join(key)!r}")
+            # plain digits, below 10**18: every sum of counts then converts to a float
+            if not (count.isdecimal() and len(count) <= 18):
+                raise InputError(f"{where}: bad count {count!r}")
+            counts[key] = int(count)
+    except csv.Error as e:  # from the reader: a cell over its size limit, or NUL before Python 3.11
+        raise InputError(f"{kind} file line {start}: {e}") from None
     return counts
 
 

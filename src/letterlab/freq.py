@@ -148,7 +148,11 @@ def count_digrams(seq: LetterSequence) -> DigramTable:
     codes = encode(seq.symbols, letters)
     pairs = codes[:-1] * size + codes[1:]
     tally = np.bincount(pairs, minlength=size * size).tolist()
-    counts = {(letters[p // size], letters[p % size]): tally[p] for p in dict.fromkeys(pairs.tolist())}
+    first = np.full(size * size, len(pairs))
+    np.minimum.at(first, pairs, np.arange(len(pairs)))
+    seen = np.flatnonzero(first < len(pairs))
+    order = seen[np.argsort(first[seen])].tolist()
+    counts = {(letters[p // size], letters[p % size]): tally[p] for p in order}
     return DigramTable(seq.alphabet, counts, max(0, len(seq.symbols) - 1))
 
 

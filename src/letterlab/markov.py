@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .alphabet import Alphabet, LetterSequence
 from .errors import InputError
@@ -28,6 +28,8 @@ CONSONANT = "C"
 STATES = (VOWEL, CONSONANT)
 # a walk draws one label at a time in Python, so the length bounds its time
 MAX_GENERATE_LENGTH = 10_000_000
+# draws per block of rng.floats, so a walk's memory does not grow with its length
+_DRAW_BLOCK = 65_536
 
 
 @dataclass(frozen=True)
@@ -201,14 +203,15 @@ def _walk(rng: SplitMix64, labels, start: list[float], rows: list, length: int) 
     each next one from the row of the one before. A draw picks the first
     label whose cumulative probability exceeds it, else the last label.
     A None row raises only when the walk has to leave it."""
-    cumulative = [None if r is None else list(accumulate(r)) for r in rows]
-    last = len(labels) - 1
+    # the last label takes every draw that no earlier one does
+    cumulative = [None if r is None else [*accumulate(r[:-1]), math.inf] for r in rows]
     out = []
-    cum = None if start is None else list(accumulate(start))
-    for _ in range(length):
+    cum = None if start is None else [*accumulate(start[:-1]), math.inf]
+    blocks = (rng.floats(min(_DRAW_BLOCK, length - b)) for b in range(0, length, _DRAW_BLOCK))
+    for u in chain.from_iterable(blocks):
         if cum is None:
             raise InputError(f"non-normalizable row for state {out[-1]!r}")
-        i = min(bisect_right(cum, rng.next_float()), last)
+        i = bisect_right(cum, u)
         out.append(labels[i])
         cum = cumulative[i]
     return "".join(out)

@@ -19,7 +19,10 @@ Substream i of seed s is seeded with (first output of splitmix64(s)) XOR i.
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
+_GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
 class SplitMix64:
@@ -29,15 +32,25 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def next_float(self) -> float:
         """Uniform in [0, 1), 53-bit resolution."""
         return (self.next_u64() >> 11) * 2.0**-53
+
+    def floats(self, count: int) -> list[float]:
+        """The next `count` values of :meth:`next_float`, in one uint64 array pass."""
+        u64 = np.uint64
+        z = u64(self._state) + np.arange(1, count + 1, dtype=u64) * u64(_GAMMA)
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        z = (z ^ (z >> u64(30))) * u64(_MIX1)
+        z = (z ^ (z >> u64(27))) * u64(_MIX2)
+        z ^= z >> u64(31)
+        return ((z >> u64(11)) * 2.0**-53).tolist()
 
     def next_below(self, n: int) -> int:
         """Uniform integer in [0, n), bias-free via rejection sampling."""

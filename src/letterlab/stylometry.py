@@ -170,8 +170,35 @@ def blocks_of(seq: LetterSequence, block_size: int = 1000) -> list[VCProfile]:
     return [_profile(s[start : start + block_size], vowels) for start in range(0, len(s), block_size)]
 
 
+def _nonzero_term(i: int, n: int, lg_n: float, lp: float, lq: float) -> bool:
+    """Whether the log of term i, computed as the loop of `_binom_cdf` computes
+    it, lies above -760: exp() of a double below about -745.13 is exactly 0.0."""
+    return lg_n - math.lgamma(i + 1) - math.lgamma(n - i + 1) + i * lp + (n - i) * lq > -760.0
+
+
+def _zero_edge(lo: int, hi: int, n: int, lg_n: float, lp: float, lq: float) -> int:
+    """Bisect from `lo`, a zero term, towards `hi` for a zero term next to a nonzero one."""
+    while abs(hi - lo) > 1:
+        mid = (lo + hi) // 2
+        if _nonzero_term(mid, n, lg_n, lp, lq):
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
 def _binom_cdf(k: int, n: int, p: float) -> float:
-    """P(X <= k) for X ~ Binomial(n, p), exact log-space summation."""
+    """P(X <= k) for X ~ Binomial(n, p), exact log-space summation.
+
+    Terms whose exp() is exactly 0.0 are skipped at both ends, which leaves
+    every bit of the left-to-right total as it is. The pmf is log-concave,
+    rising up to its mode floor((n+1)p) and falling after it, and a computed
+    log-term is off by a few ulps of lgamma(n + 1), under 1 for n below 1e12.
+    So when a log-term below the mode is at most -760, every term before it
+    is under -745.13, and likewise after such a term above the mode. Where
+    rounding puts floor((n+1)p) one past the true mode, the two terms there
+    are nearly equal, so neither is anywhere near -760.
+    """
     if p <= 0.0:
         return 1.0
     if p >= 1.0:
@@ -182,9 +209,15 @@ def _binom_cdf(k: int, n: int, p: float) -> float:
         return 1.0
     lp, lq = math.log(p), math.log1p(-p)
     lg_n = math.lgamma(n + 1)
+    mode = int((n + 1) * p)
+    start, stop = 0, k
+    if n * lq <= -760.0:  # the log-term at i = 0, exactly
+        start = _zero_edge(0, min(k, mode), n, lg_n, lp, lq)
+    if k > mode + 1 and not _nonzero_term(k, n, lg_n, lp, lq):
+        stop = _zero_edge(k, mode + 1, n, lg_n, lp, lq)
     total = 0.0
-    # inline, not ordered_sum: ~1.2M terms per corpus pass, where a generator is 10-15% slower
-    for i in range(k + 1):
+    # inline, not ordered_sum: ~0.18M terms per corpus pass, where a generator is 10-15% slower
+    for i in range(start, stop + 1):
         total += math.exp(lg_n - math.lgamma(i + 1) - math.lgamma(n - i + 1) + i * lp + (n - i) * lq)
     return min(total, 1.0)
 

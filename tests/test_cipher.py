@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -572,6 +573,18 @@ def test_model_load_rejects_repeated_rows(tmp_path, en, unigram, digram, message
             b"first,second,count\na,b,1\nab,c,1\n",
             "digram file line 3: letter 'ab' not in alphabet 'en'",
         ),
+        (
+            b"letter,count\n" + b"a" * 200_000 + b",1\n",
+            b"first,second,count\n",
+            "unigram file line 2: field larger than field limit (131072)",
+        ),
+        (
+            b"letter,count\na\x00,1\n",
+            b"first,second,count\n",
+            # the csv module reads NUL from Python 3.11 on
+            "unigram file line 2: "
+            + ("line contains NUL" if sys.version_info < (3, 11) else "letter 'a\\x00' not in alphabet 'en'"),
+        ),
     ],
     ids=[
         "unigram-header",
@@ -593,6 +606,8 @@ def test_model_load_rejects_repeated_rows(tmp_path, en, unigram, digram, message
         "unigram-two-letters",
         "digram-foreign-letter",
         "digram-two-letters",
+        "field-limit",
+        "nul",
     ],
 )
 def test_model_file_error_messages(tmp_path, en, unigram, digram, message):

@@ -352,6 +352,17 @@ def test_model_counts_too_large_for_a_float_are_data_errors(capsys, tmp_path):
         assert code == 1 and out == "" and err == f"letterlab: error: unigram file line 2: bad count '{huge}'\n"
 
 
+@pytest.mark.parametrize(
+    "unigram", [b"letter,count\n" + b"a" * 200_000 + b",1\n", b"letter,count\na\x00,1\n"], ids=["field-limit", "nul"]
+)
+def test_model_rows_the_csv_reader_rejects_are_data_errors(capsys, tmp_path, unigram):
+    # csv.Error once escaped as a traceback; its wording differs between Python versions
+    (tmp_path / "m.unigram.csv").write_bytes(unigram)
+    (tmp_path / "m.digram.csv").write_bytes(b"first,second,count\n")
+    code, out, err = run_cli(capsys, "generate", "--model", str(tmp_path / "m"), "--length", "5")
+    assert code == 1 and out == "" and err.startswith("letterlab: error: unigram file line 2: ")
+
+
 def test_missing_model_file_is_a_data_error(capsys, tmp_path):
     cipher = tmp_path / "cipher.txt"
     cipher.write_text("wkh txlfn eurzq ira", encoding="utf-8")

@@ -4,12 +4,14 @@ The references below are the plain loops these statistics were first
 written with, each term and each `+=` in its original order. The
 library must match them bit for bit, signed zeros included, on every
 interpreter: the builtin `sum()` is compensated from Python 3.12 on,
-so a reference built on it would drift with the interpreter too.
+so a reference built on it would drift with the interpreter too. The
+binomial tail skips the terms whose exp() is exactly 0.0; its
+reference adds every one of them.
 """
 
 import math
 
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from letterlab import (
     DigramTable,
@@ -25,6 +27,7 @@ from letterlab import (
 )
 from letterlab.freq import ordered_sum
 from letterlab.markov import STATES
+from letterlab.stylometry import _binom_cdf
 
 EN = builtin_alphabet("en")
 SMALL = "abcde"  # few letters, so ties and repeated cells are common
@@ -122,6 +125,23 @@ def reference_fit(rf: RankFrequency, min_count: int) -> tuple[float, float, floa
     return -slope, my - slope * mx, r_squared
 
 
+def reference_binom_cdf(k: int, n: int, p: float) -> float:
+    if p <= 0.0:
+        return 1.0
+    if p >= 1.0:
+        return 1.0 if k >= n else 0.0
+    if k < 0:
+        return 0.0
+    if k >= n:
+        return 1.0
+    lp, lq = math.log(p), math.log1p(-p)
+    lg_n = math.lgamma(n + 1)
+    total = 0.0
+    for i in range(k + 1):
+        total += math.exp(lg_n - math.lgamma(i + 1) - math.lgamma(n - i + 1) + i * lp + (n - i) * lq)
+    return min(total, 1.0)
+
+
 def test_ordered_sum_is_not_compensated():
     assert ordered_sum([1.0, 1e100, 1.0, -1e100]) == 0.0  # a compensated sum gives 2.0
     assert bits(ordered_sum([])) == bits(0.0)
@@ -187,3 +207,26 @@ def test_fit_power_law_matches_reference(values, min_count):
         return
     fit = fit_power_law(rf, min_count=min_count)
     assert bits(fit.exponent, fit.intercept, fit.r_squared) == bits(*reference_fit(rf, min_count))
+
+
+@st.composite
+def binomial_cases(draw):
+    n, p = draw(st.integers(0, 2_000_000)), draw(st.floats(0.0, 1.0))
+    mode, sd = int((n + 1) * p), math.sqrt(n * p * (1.0 - p))
+    # any k, or one near the mode, where the tail is neither 0 nor 1
+    k = draw(st.integers(-1, n + 1) | st.integers(int(mode - 60 * sd) - 2, int(mode + 60 * sd) + 2))
+    return k, n, p
+
+
+# the reference costs O(k) lgamma calls, up to 2e6 of them
+@settings(max_examples=50, deadline=None)
+@given(binomial_cases())
+@example((81021, 1208895, float.fromhex("0x1.3768733d4b066p-4")))  # 'a' lipogram tail, subnormal: 1.693903e-317
+@example((112300, 1_000_000, 0.1))  # 41 sigma above the mode: both ends skipped
+@example((700, 75619, 0.01))  # n * log1p(-p) just above -760: nothing skipped below the mode
+@example((700, 75620, 0.01))  # and just below
+@example((200, 2_000_000, 1e-9))
+@example((99_880, 100_000, 0.999))
+def test_binom_cdf_matches_reference(case):
+    k, n, p = case
+    assert bits(_binom_cdf(k, n, p)) == bits(reference_binom_cdf(k, n, p))

@@ -69,6 +69,8 @@ def test_count_digrams_single_letter(en):
 @given(st.text(alphabet="abcz", max_size=60))
 @example("")
 @example("a")
+@example("abab")
+@example("zzzz")
 def test_counts_match_counter(s):
     en = builtin_alphabet("en")
     letters = count_letters(LetterSequence(en, s))

@@ -19,7 +19,7 @@ from letterlab import (
     to_vc_sequence,
     vc_profile,
 )
-from letterlab.markov import _walk, chi_square_tail_df1
+from letterlab.markov import _DRAW_BLOCK, _walk, chi_square_tail_df1
 from letterlab.rng import SplitMix64
 
 
@@ -245,5 +245,7 @@ def test_walk_draws_match_linear_scan():
             scale = rng.choice((1.0, rng.random())) / (sum(weights) or 1.0)
             rows.append([w * scale for w in weights])
         start = rows[rng.randrange(len(rows))]
-        want = _scan_walk(SplitMix64(trial), labels, start, rows, 60)
-        assert _walk(SplitMix64(trial), labels, start, rows, 60) == want
+        # every 100th walk runs past the end of its first block of draws
+        length = _DRAW_BLOCK + 7 if trial % 100 == 0 else 60
+        want = _scan_walk(SplitMix64(trial), labels, start, rows, length)
+        assert _walk(SplitMix64(trial), labels, start, rows, length) == want
