@@ -186,7 +186,8 @@ def load_alphabet(spec_text: str) -> Alphabet:
     """Parse an alphabet spec document.
 
     Raises :class:`AlphabetSpecError` with line context for malformed
-    documents, duplicate letters, or vowels outside the letter set.
+    documents, duplicate letters, vowels outside the letter set, or
+    letters that lowercasing changes and no fold produces.
     """
     # key -> (line number, value) for the keys that must appear exactly once
     fields: dict[str, tuple[int, str]] = {}
@@ -240,6 +241,9 @@ def load_alphabet(spec_text: str) -> Alphabet:
     for dst in folds.values():
         if dst is not None and dst not in letter_set:
             raise AlphabetSpecError(f"fold target {dst!r} not in letters (line {letters_line})")
+    unreachable = [ch for ch in letters if ch.lower() != ch and ch not in folds.values()]
+    if unreachable:
+        raise AlphabetSpecError(f"line {letters_line}: letters lost to lowercasing, no fold to them: {unreachable}")
 
     return Alphabet(name=name, letters=tuple(letters), vowels=frozenset(vowels), folds=folds)
 

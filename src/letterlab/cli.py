@@ -142,7 +142,7 @@ def _count(args) -> Report:
 def _digrams(args) -> Report:
     table = count_digrams(_corpus(args, args.input))
     counts, total, pairs = table.counts, table.total, table._ordered_pairs()
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    ranked = sorted(((pair, counts[pair]) for pair in pairs), key=lambda kv: -kv[1])
     return Report(
         ["first", "second", "count", "proportion"],
         [[a, b, counts[a, b], f"{counts[a, b] / total:.6f}"] for a, b in pairs],

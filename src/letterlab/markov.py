@@ -170,17 +170,17 @@ def entropy_estimates(unigram: FrequencyTable, digram: DigramTable) -> EntropyRe
     return EntropyReport(h0=h0, h1=h1, h2=h2)
 
 
-def generate(model, length: int, seed: int, order: int = 1):
+def generate(model, length: int, seed: int, order: int | None = None):
     """Run a fitted model forward; deterministic for a given seed.
 
     With a :class:`TransitionCounts` the walk starts from the marginal
     state distribution and follows the row-conditional probabilities,
-    returning a :class:`BinarySequence`. With a
+    returning a :class:`BinarySequence`; an `order` raises. With a
     :class:`~letterlab.cipher.LanguageModel`, order 0 samples the raw
-    unigram proportions and order 1 samples smoothed digram rows (the
-    smoothing pseudo-count keeps every row normalizable), returning a
-    :class:`LetterSequence`. A row that cannot be normalized raises
-    :class:`InputError` when the walk reaches it. A length above
+    unigram proportions and order 1 (the default) samples smoothed digram
+    rows (the smoothing pseudo-count keeps every row normalizable),
+    returning a :class:`LetterSequence`. A row that cannot be normalized
+    raises :class:`InputError` when the walk reaches it. A length above
     :data:`MAX_GENERATE_LENGTH` raises before the walk starts.
     """
     if length < 0:
@@ -189,13 +189,15 @@ def generate(model, length: int, seed: int, order: int = 1):
         raise InputError(f"length must be at most {MAX_GENERATE_LENGTH}, got {length}")
     rng = SplitMix64(seed)
     if isinstance(model, TransitionCounts):
+        if order is not None:
+            raise InputError("order applies to a language model only, not a V/C chain")
         return _generate_states(model, length, rng)
     # duck-typed language model: unigram/digram/smoothing attributes
     if not hasattr(model, "unigram") or not hasattr(model, "digram"):
         raise InputError(f"cannot generate from {type(model).__name__}")
-    if order not in (0, 1):
+    if order not in (None, 0, 1):
         raise InputError("order must be 0 or 1")
-    return _generate_letters(model, length, rng, order)
+    return _generate_letters(model, length, rng, 1 if order is None else order)
 
 
 def _walk(rng: SplitMix64, labels, start: list[float], rows: list, length: int) -> str:

@@ -88,4 +88,4 @@ def fit_power_law(rf: RankFrequency, min_count: int = 5) -> PowerLawFit:
         r_squared = 1.0  # flat counts: the zero-slope line is exact
     else:
         r_squared = (sxy * sxy) / (sxx * syy)
-    return PowerLawFit(exponent=-slope, intercept=intercept, r_squared=r_squared, points_used=n)
+    return PowerLawFit(exponent=0.0 - slope, intercept=intercept, r_squared=r_squared, points_used=n)

@@ -59,6 +59,11 @@ def test_load_alphabet_document():
     assert normalize("dead", ab).symbols == "aaa"
 
 
+def test_fold_may_produce_a_letter_lowercasing_changes():
+    ab = load_alphabet("name: t\nletters: Abc\nvowels: A\nfold: a > A\n")
+    assert normalize("a bAc", ab).symbols == "AbAc"
+
+
 def test_load_alphabet_vowels_must_be_strict_subset():
     with pytest.raises(AlphabetSpecError):
         load_alphabet("name: bad\nletters: ab\nvowels: ab\n")
@@ -103,6 +108,11 @@ SPEC = "name: t\nletters: abc\nvowels: a\n"
         ("name: t\nletters: abc\nvowels: a q z\n", "line 3: vowels not in letters: ['q', 'z']"),
         ("name: t\nletters: abc\nvowels: cba\n", "line 3: vowels must be a strict subset of letters"),
         ("name: t\n# folds\nletters: abc\nvowels: a\nfold: é > e\n", "fold target 'e' not in letters (line 3)"),
+        ("name: t\nletters: ABC\nvowels: A\n", "line 2: letters lost to lowercasing, no fold to them: ['A', 'B', 'C']"),
+        (
+            "name: t\nletters: aBCİ\nvowels: a\nfold: ç > C\n",
+            "line 2: letters lost to lowercasing, no fold to them: ['B', 'İ']",
+        ),
     ],
     ids=[
         "no-colon",
@@ -127,6 +137,8 @@ SPEC = "name: t\nletters: abc\nvowels: a\n"
         "vowel-not-letter",
         "vowels-are-letters",
         "fold-target-not-letter",
+        "cased-letters",
+        "cased-letters-not-folded",
     ],
 )
 def test_load_alphabet_error_messages(spec, message):

@@ -236,6 +236,25 @@ def test_alphabet_spec_file(capsys, tmp_path):
     assert d["counts"] == {"a": 4, "b": 1, "c": 2, "t": 1}
 
 
+def test_spec_letters_that_lowercasing_changes_are_an_error(capsys, tmp_path):
+    spec = tmp_path / "upper.alphabet"
+    spec.write_text("name: upper\nletters: ABC\nvowels: A\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "count", "--alphabet", str(spec), PLAINTEXT)
+    assert code == 1 and out == ""
+    assert err == "letterlab: error: line 2: letters lost to lowercasing, no fold to them: ['A', 'B', 'C']\n"
+
+
+def test_digram_text_ranks_count_ties_in_alphabet_order(capsys, tmp_path):
+    spec = tmp_path / "reversed.alphabet"
+    spec.write_text("name: reversed\nletters: zyxwvutsrqponmlkjihgfedcba\nvowels: aeiou\n", encoding="utf-8")
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("ab zy", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "digrams", "--alphabet", str(spec), str(corpus), "--format", "csv")
+    assert code == 0 and [row[0] + row[1] for row in csv_rows(out)[1:]] == ["zy", "bz", "ab"]
+    code, out, _ = run_cli(capsys, "digrams", "--alphabet", str(spec), str(corpus), "--format", "text")
+    assert code == 0 and [line.split()[0] for line in out.splitlines()[1:]] == ["zy", "bz", "ab"]
+
+
 def test_spec_file_holding_a_builtin_name_is_an_error(capsys, tmp_path):
     spec = tmp_path / "f.alphabet"
     spec.write_text("la\n", encoding="utf-8")

@@ -122,7 +122,7 @@ def reference_fit(rf: RankFrequency, min_count: int) -> tuple[float, float, floa
     syy = plain_sum((y - my) ** 2 for _, y in points)
     slope = sxy / sxx
     r_squared = 1.0 if syy == 0.0 else (sxy * sxy) / (sxx * syy)
-    return -slope, my - slope * mx, r_squared
+    return 0.0 - slope, my - slope * mx, r_squared
 
 
 def reference_binom_cdf(k: int, n: int, p: float) -> float:
@@ -199,6 +199,7 @@ def test_independence_test_matches_reference(cells, continuity_correction):
 
 @given(st.lists(st.integers(1, 10**6), min_size=2, max_size=60), st.integers(1, 20))
 @example([7, 7, 7], 1)  # flat counts
+@example([5, 5, 1], 2)  # flat once the count under min_count drops out: the exponent is +0.0
 @example([65, 55, 50, 35], 1)  # (x - mx) * (x - mx) instead of ** 2 would change it
 def test_fit_power_law_matches_reference(values, min_count):
     ordered = sorted(values, reverse=True)
@@ -227,6 +228,9 @@ def binomial_cases(draw):
 @example((700, 75620, 0.01))  # and just below
 @example((200, 2_000_000, 1e-9))
 @example((99_880, 100_000, 0.999))
+@example((10, 1_000_000, 0.1))  # every term through k is zero: the start search finds no nonzero term
+@example((0, 2_000_000, 0.0004))  # the start gate fires on an empty range
+@example((100_002, 1_000_000, 0.1))  # k = mode + 2, the smallest k the stop gate looks at
 def test_binom_cdf_matches_reference(case):
     k, n, p = case
     assert bits(_binom_cdf(k, n, p)) == bits(reference_binom_cdf(k, n, p))

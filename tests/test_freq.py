@@ -25,6 +25,8 @@ from letterlab import (
 )
 from letterlab.rng import substream
 
+from conftest import read_data
+
 # Wilson bounds computed beforehand by solving the score quadratic
 # symbolically (sympy), independent of the closed form used in freq.py.
 WILSON_ORACLE = {
@@ -299,13 +301,13 @@ def test_positional_stats_edge_cases_match_reference(en, words):
 
 
 def test_positional_stats_on_corpus_matches_reference(en):
-    words = tokenize_words(open("tests/data/english_analysis.txt", encoding="utf-8").read(), en)
+    words = tokenize_words(read_data("english_analysis.txt"), en)
     assert positional_stats(words) == positional_reference(words)
 
 
 def test_words_rarely_end_in_i(en):
     # Thicknesse's observation, checked on the committed corpus
-    words = tokenize_words(open("tests/data/english_analysis.txt", encoding="utf-8").read(), en)
+    words = tokenize_words(read_data("english_analysis.txt"), en)
     ps = positional_stats(words)
     assert ps.final.counts["i"] / ps.final.total < 0.01
 

@@ -211,6 +211,13 @@ def test_generate_errors():
         generate(counts(1, 1, 1, 1), -1, seed=1)
 
 
+def test_generate_order_applies_to_language_models_only(training_model):
+    for order in (1, 7):
+        with pytest.raises(InputError, match="V/C chain"):
+            generate(counts(1, 1, 1, 1), 20, seed=1, order=order)
+    assert generate(training_model, 50, seed=1).symbols == generate(training_model, 50, seed=1, order=1).symbols
+
+
 def test_generate_unreachable_zero_row_is_fine():
     # row C is empty but the chain starting at V never needs it
     t = counts(10, 0, 0, 0)
