@@ -29,8 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import InputError
 
 
@@ -271,6 +269,8 @@ def _check_letters(symbols: str, alphabet: Alphabet) -> None:
 
 def encode(symbols: str, inventory) -> np.ndarray:
     """Position of each symbol in `inventory` (distinct characters that include every symbol)."""
+    import numpy as np
+
     points = np.frombuffer("".join(inventory).encode("utf-32-le"), dtype="<u4")
     lookup = np.zeros(int(points.max()) + 1, dtype=np.intp)
     lookup[points] = np.arange(len(points))

@@ -19,8 +19,6 @@ import io
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .alphabet import Alphabet, LetterSequence, encode, first_foreign
 from .errors import InputError, read_text
 from .freq import DigramTable, FrequencyTable, count_digrams, count_letters, ordered_sum, rank_order
@@ -290,6 +288,8 @@ def score(seq: LetterSequence, model: LanguageModel) -> float:
 
 
 def _log_prob_matrix(model: LanguageModel) -> np.ndarray:
+    import numpy as np
+
     letters, lam = model.alphabet.letters, model.smoothing
     dens = [model.unigram.counts[a] + lam * len(letters) for a in letters]
     return np.array(
@@ -323,6 +323,8 @@ def hill_climb_solve(
     frequency-match seed. The report keeps one :class:`RestartRecord`
     per restart.
     """
+    import numpy as np
+
     if len(c.symbols) == 0:
         raise InputError("empty cryptogram")
     if restarts < 1:

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
-import numpy as np
-
 from .alphabet import Alphabet, LetterSequence, WordSequence, encode, non_letter
 from .errors import InputError
 from .rng import substream
@@ -132,6 +130,8 @@ class PositionalStats:
 
 def _tally(alphabet: Alphabet, codes: np.ndarray) -> FrequencyTable:
     """Table of letter codes (positions in `alphabet.letters`), one count each."""
+    import numpy as np
+
     counts = np.bincount(codes, minlength=len(alphabet))
     return FrequencyTable(alphabet, dict(zip(alphabet.letters, counts.tolist())), len(codes))
 
@@ -143,6 +143,8 @@ def count_letters(seq: LetterSequence) -> FrequencyTable:
 
 def count_digrams(seq: LetterSequence) -> DigramTable:
     """Count overlapping adjacent pairs, keyed by first occurrence; total is max(0, len - 1)."""
+    import numpy as np
+
     letters = seq.alphabet.letters
     size = len(letters)
     codes = encode(seq.symbols, letters)
@@ -279,6 +281,8 @@ def positional_stats(words: WordSequence) -> PositionalStats:
     counts adjacent equal letters inside words, overlapping, so "aaa"
     contributes two doublings of a.
     """
+    import numpy as np
+
     ab = words.alphabet
     gap = non_letter(ab)
     # every word between two single gaps, whose code is len(ab), so

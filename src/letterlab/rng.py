@@ -19,8 +19,6 @@ Substream i of seed s is seeded with (first output of splitmix64(s)) XOR i.
 
 from __future__ import annotations
 
-import numpy as np
-
 _MASK64 = (1 << 64) - 1
 _GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
@@ -44,6 +42,8 @@ class SplitMix64:
 
     def floats(self, count: int) -> list[float]:
         """The next `count` values of :meth:`next_float`, in one uint64 array pass."""
+        import numpy as np
+
         u64 = np.uint64
         z = u64(self._state) + np.arange(1, count + 1, dtype=u64) * u64(_GAMMA)
         self._state = (self._state + count * _GAMMA) & _MASK64

@@ -82,10 +82,13 @@ def fit_power_law(rf: RankFrequency, min_count: int = 5) -> PowerLawFit:
     mx, my, sxx, syy, sxy = moments([math.log(e.rank) for e in used], [math.log(e.count) for e in used])
     if sxx == 0.0:
         raise InputError("degenerate fit: all ranks identical")
-    slope = sxy / sxx
-    intercept = my - slope * mx
-    if syy == 0.0:
-        r_squared = 1.0  # flat counts: the zero-slope line is exact
+    # counts are non-increasing, so equal ends mean flat counts, which the
+    # zero-slope line fits exactly; their logs' rounded mean can leave syy and
+    # sxy a few ulps off zero
+    if used[0].count == used[-1].count:
+        slope, r_squared = 0.0, 1.0
     else:
+        slope = sxy / sxx
         r_squared = (sxy * sxy) / (sxx * syy)
+    intercept = my - slope * mx
     return PowerLawFit(exponent=0.0 - slope, intercept=intercept, r_squared=r_squared, points_used=n)

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +15,13 @@ from conftest import data_path
 ANALYSIS = data_path("english_analysis.txt")
 TRAINING = data_path("english_training.txt")
 PLAINTEXT = data_path("solver_plaintext.txt")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports letterlab from this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
 
 
 def run_cli(capsys, *argv):
@@ -88,6 +98,13 @@ def test_stability_random_subsamples_seeded(capsys):
     assert out_a != out_c
     _, prefix_out, _ = run_cli(capsys, "stability", ANALYSIS, "--sizes", "90,1000", "--format", "csv")
     assert out_a != prefix_out
+
+
+def test_zipf_on_flat_counts_prints_an_exact_fit(capsys, tmp_path):
+    flat = tmp_path / "flat.txt"
+    flat.write_text("aa bb cc dd ee " * 7, encoding="utf-8")
+    code, out, _ = run_cli(capsys, "zipf", str(flat), "--format", "text")
+    assert code == 0 and out.endswith("fit: exponent 0, r^2 1.000000, 5 points (count >= 5)\n")
 
 
 def test_style_subcommands(capsys):
@@ -408,18 +425,43 @@ def test_undecodable_input_is_a_data_error(capsys, monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("module", ["letterlab", "letterlab.cli"])
 def test_module_runs_as_script(module):
-    import os
-    import subprocess
-    import sys
-
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", module, "count", PLAINTEXT],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
+    done = run_python("-m", module, "count", PLAINTEXT)
     assert done.returncode == 0
     assert done.stdout.startswith("letter,count,proportion,rank\n")
+
+
+# imports letterlab, runs main(argv) when argv is given, and reports on
+# stderr whether numpy was imported along the way
+NUMPY_PROBE = """
+import sys
+import letterlab
+code = 0
+if sys.argv[1:]:
+    from letterlab.cli import main
+    code = main(sys.argv[1:])
+print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        ((), False),
+        (("--version",), False),
+        (("--help",), False),
+        (("style", "vc", PLAINTEXT), False),
+        (("style", "alberti", PLAINTEXT), False),
+        (("style", "compare", ANALYSIS, PLAINTEXT), False),
+        (("style", "compass", ANALYSIS, "--block-size", "1000"), False),
+        (("markov", "test", ANALYSIS), False),
+        (("zipf", PLAINTEXT), False),
+        (("count", PLAINTEXT), True),
+    ],
+    ids=lambda v: " ".join(map(os.path.basename, v)) or "import" if isinstance(v, tuple) else None,
+)
+def test_commands_that_build_no_array_never_import_numpy(argv, loads_numpy):
+    done = run_python("-c", NUMPY_PROBE, *argv)
+    assert done.returncode == 0, done.stderr
+    assert bool(done.stdout) == bool(argv)
+    assert done.stderr.splitlines()[-1] == f"numpy loaded: {loads_numpy}"

@@ -120,8 +120,11 @@ def reference_fit(rf: RankFrequency, min_count: int) -> tuple[float, float, floa
     sxx = plain_sum((x - mx) ** 2 for x, _ in points)
     sxy = plain_sum((x - mx) * (y - my) for x, y in points)
     syy = plain_sum((y - my) ** 2 for _, y in points)
-    slope = sxy / sxx
-    r_squared = 1.0 if syy == 0.0 else (sxy * sxy) / (sxx * syy)
+    if points[0][1] == points[-1][1]:
+        slope, r_squared = 0.0, 1.0
+    else:
+        slope = sxy / sxx
+        r_squared = (sxy * sxy) / (sxx * syy)
     return 0.0 - slope, my - slope * mx, r_squared
 
 
@@ -200,6 +203,8 @@ def test_independence_test_matches_reference(cells, continuity_correction):
 @given(st.lists(st.integers(1, 10**6), min_size=2, max_size=60), st.integers(1, 20))
 @example([7, 7, 7], 1)  # flat counts
 @example([5, 5, 1], 2)  # flat once the count under min_count drops out: the exponent is +0.0
+@example([6, 6, 6], 1)  # flat, but the mean of the three logs rounds off log(6)
+@example([7, 7, 7, 7, 7], 1)  # and of five logs off log(7)
 @example([65, 55, 50, 35], 1)  # (x - mx) * (x - mx) instead of ** 2 would change it
 def test_fit_power_law_matches_reference(values, min_count):
     ordered = sorted(values, reverse=True)

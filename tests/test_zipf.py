@@ -85,6 +85,14 @@ def test_fit_depends_only_on_rank_count_pairs(en):
     assert fit_power_law(rf_fwd, min_count=1) == fit_power_law(rf_rev, min_count=1)
 
 
+def test_fit_flat_counts_is_exact():
+    # for [6, 6, 6] and [7] * 5 the mean of the equal logs rounds off the log
+    for n in range(2, 31):
+        for c in range(1, 31):
+            fit = fit_power_law(rf_from_counts([(f"w{r:02d}", c) for r in range(n)]), min_count=1)
+            assert (math.copysign(1.0, fit.exponent), fit.exponent, fit.r_squared) == (1.0, 0.0, 1.0), (n, c)
+
+
 def test_fit_min_count_filters():
     rf = rf_from_counts([("a", 100), ("b", 50), ("c", 2), ("d", 1)])
     fit = fit_power_law(rf, min_count=5)
