@@ -47,10 +47,6 @@ class SubstitutionKey:
                 raise InputError(f"cipher symbol {v!r} must be one character")
 
     @classmethod
-    def identity(cls, alphabet: Alphabet) -> "SubstitutionKey":
-        return cls(alphabet, {ch: ch for ch in alphabet.letters})
-
-    @classmethod
     def from_target_string(cls, alphabet: Alphabet, targets: str) -> "SubstitutionKey":
         """Key sending the i-th alphabet letter to the i-th character of `targets`."""
         if len(targets) != len(alphabet.letters):
@@ -62,20 +58,6 @@ class SubstitutionKey:
 
     def inverse(self) -> dict[str, str]:
         return {v: k for k, v in self.mapping.items()}
-
-    def compose(self, inner: "SubstitutionKey") -> "SubstitutionKey":
-        """Key equivalent to applying `inner` first, then this key.
-
-        Requires every image of `inner` to be a plaintext letter of this
-        key's alphabet.
-        """
-        if inner.alphabet != self.alphabet:
-            raise InputError("alphabet mismatch")
-        try:
-            mapping = {ch: self.mapping[inner.mapping[ch]] for ch in self.alphabet.letters}
-        except KeyError as exc:
-            raise InputError(f"inner key image {exc.args[0]!r} is not a plaintext letter") from None
-        return SubstitutionKey(self.alphabet, mapping)
 
 
 @dataclass(frozen=True)

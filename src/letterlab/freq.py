@@ -95,10 +95,6 @@ class ConfidenceInterval:
         if not (0.0 <= self.lower <= self.estimate <= self.upper <= 1.0):
             raise InputError("interval must satisfy 0 <= lower <= estimate <= upper <= 1")
 
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
 
 @dataclass(frozen=True)
 class TableDistance:

@@ -232,9 +232,7 @@ def _generate_states(t: TransitionCounts, length: int, rng: SplitMix64) -> Binar
 def _generate_letters(model, length: int, rng: SplitMix64, order: int) -> LetterSequence:
     alphabet: Alphabet = model.unigram.alphabet
     letters = alphabet.letters
-    if length == 0:
-        return LetterSequence(alphabet, "", source="generated")
-    if model.unigram.total == 0:
+    if length > 0 and model.unigram.total == 0:
         raise InputError("non-normalizable row: empty unigram table")
     marginal = [model.unigram.proportion(ch) for ch in letters]
     if order == 0:

@@ -229,13 +229,33 @@ def binomial_cases(draw):
 @given(binomial_cases())
 @example((81021, 1208895, float.fromhex("0x1.3768733d4b066p-4")))  # 'a' lipogram tail, subnormal: 1.693903e-317
 @example((112300, 1_000_000, 0.1))  # 41 sigma above the mode: both ends skipped
-@example((700, 75619, 0.01))  # n * log1p(-p) just above -760: nothing skipped below the mode
+@example((700, 75619, 0.01))  # the log-term at i = 0 just above -760
 @example((700, 75620, 0.01))  # and just below
 @example((200, 2_000_000, 1e-9))
 @example((99_880, 100_000, 0.999))
-@example((10, 1_000_000, 0.1))  # every term through k is zero: the start search finds no nonzero term
-@example((0, 2_000_000, 0.0004))  # the start gate fires on an empty range
-@example((100_002, 1_000_000, 0.1))  # k = mode + 2, the smallest k the stop gate looks at
+@example((10, 1_000_000, 0.1))  # every term through k is zero: k lies below the window
+@example((0, 2_000_000, 0.0004))  # the window starts at 0, whose term is already 0.0
+@example((100_002, 1_000_000, 0.1))  # k just above the mean: the window stops at k
+@example((775, 3000, 0.6))  # p >= 1/2, so v = 1/4; the tail is subnormal: 2.148295e-315
+@example((3, 200, 0.001))  # a mean below 1: the window starts at 0
+@example((600_000, 1_200_000, 0.08))  # k far past the window's upper edge
 def test_binom_cdf_matches_reference(case):
     k, n, p = case
     assert bits(_binom_cdf(k, n, p)) == bits(reference_binom_cdf(k, n, p))
+
+
+def test_binom_cdf_sums_only_its_window(monkeypatch):
+    calls = 0
+    lgamma = math.lgamma
+
+    def counting_lgamma(x):
+        nonlocal calls
+        calls += 1
+        return lgamma(x)
+
+    monkeypatch.setattr(math, "lgamma", counting_lgamma)
+    _binom_cdf(600_000, 1_200_000, 0.08)  # the window stops near 108,500, far below k
+    assert calls < 60_000
+    calls = 0
+    _binom_cdf(80_904, 1_208_772, 0.0760)  # the window starts about 400 terms below k
+    assert calls < 2_000

@@ -186,7 +186,7 @@ def test_wilson_against_independent_oracle():
 def test_wilson_narrows_with_sample_size():
     small = proportion_ci(30, 100, 0.95)
     large = proportion_ci(120, 400, 0.95)
-    assert large.width < small.width
+    assert large.upper - large.lower < small.upper - small.lower
 
 
 def test_wilson_errors():

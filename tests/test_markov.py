@@ -171,7 +171,16 @@ def test_entropy_empty_errors(en):
 
 def test_generate_length_zero(en, training_model):
     assert generate(counts(1, 1, 1, 1), 0, seed=1).states == ""
+    assert generate(counts(0, 0, 0, 0), 0, seed=1).states == ""
     assert generate(training_model, 0, seed=1).symbols == ""
+    # an empty table raises only when the walk has to draw from it
+    from letterlab import DigramTable, FrequencyTable
+
+    empty = LanguageModel(unigram=FrequencyTable.empty(en), digram=DigramTable(en, {}, 0))
+    for order in (0, 1):
+        assert generate(empty, 0, seed=1, order=order).symbols == ""
+        with pytest.raises(InputError, match="empty unigram table"):
+            generate(empty, 1, seed=1, order=order)
 
 
 def test_generate_degenerate_unigram(en):
