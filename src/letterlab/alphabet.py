@@ -7,9 +7,9 @@ characters onto letters (or discarding them). :func:`normalize` turns
 raw text into a :class:`LetterSequence`; :func:`tokenize_words` splits
 it into maximal letter runs.
 
-Both run on one self-filling ``str.translate`` table (lowercase, fold,
-keep letters). :func:`encode` turns symbols into their positions in an
-inventory, the integer array every counter in the package works on.
+Both translate through tables (lowercase, fold, keep letters) that each
+:class:`Alphabet` fills on demand and keeps. :func:`encode` turns symbols
+into their positions in an inventory, the integer array every counter uses.
 
 Alphabets can be defined in a small line-oriented document::
 
@@ -21,12 +21,15 @@ Alphabets can be defined in a small line-oriented document::
     fold: ' > -
 
 ``fold: x > -`` discards ``x``. Lowercasing happens before fold lookup,
-so fold sources are stored lowercased. Builtin names ("en",
-"en-y-vowel", "la", "fr", "it") resolve without a document.
+so fold sources must be lowercase. Builtin names ("en", "en-y-vowel",
+"la", "fr", "it") resolve without a document, to one shared object each.
 """
 
 from __future__ import annotations
 
+import functools
+import types
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .errors import InputError
@@ -42,14 +45,18 @@ class Alphabet:
 
     Invariants checked at construction: letters are distinct single
     characters; vowels form a nonempty strict subset of letters; every
-    fold target is a letter or None (discard).
+    fold source is lowercase, and its target a letter or None (discard).
+    `folds` is read-only, so the state derived here never goes stale.
     """
 
     name: str
     letters: tuple[str, ...]
     vowels: frozenset[str]
-    folds: dict[str, str | None] = field(default_factory=dict)
+    folds: Mapping[str, str | None] = field(default_factory=dict)
+    separator: str = field(init=False, repr=False, compare=False)  # lowest code point that is no letter
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _keep: _LetterTable = field(init=False, repr=False, compare=False)
+    _split: _LetterTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.letters:
@@ -57,20 +64,31 @@ class Alphabet:
         for ch in self.letters:
             if len(ch) != 1:
                 raise InputError(f"alphabet {self.name!r}: symbol {ch!r} is not a single character")
-        if len(set(self.letters)) != len(self.letters):
+        index = {ch: i for i, ch in enumerate(self.letters)}
+        if len(index) != len(self.letters):
             raise InputError(f"alphabet {self.name!r}: duplicate letters")
-        letter_set = set(self.letters)
         if not self.vowels:
             raise InputError(f"alphabet {self.name!r}: vowels must be nonempty")
-        if not self.vowels <= letter_set:
-            bad = sorted(self.vowels - letter_set)
+        if not self.vowels <= index.keys():
+            bad = sorted(self.vowels.difference(index))
             raise InputError(f"alphabet {self.name!r}: vowels not in letters: {bad}")
-        if self.vowels == letter_set:
+        if self.vowels == index.keys():
             raise InputError(f"alphabet {self.name!r}: vowels must be a strict subset of letters")
         for src, dst in self.folds.items():
-            if dst is not None and dst not in letter_set:
+            if src.lower() != src:
+                raise InputError(f"alphabet {self.name!r}: fold source {src!r} is not lowercase")
+            if dst is not None and dst not in index:
                 raise InputError(f"alphabet {self.name!r}: fold target {dst!r} not a letter")
-        object.__setattr__(self, "_index", {ch: i for i, ch in enumerate(self.letters)})
+        folds = types.MappingProxyType(dict(self.folds))
+        # one of the first len + 1 code points is no letter
+        gap = min(set(map(chr, range(len(index) + 1))).difference(index))
+        keep, split = _LetterTable(folds, index), _LetterTable(folds, index, gap)
+        # frozen, so the derived fields go straight into __dict__
+        self.__dict__.update(folds=folds, separator=gap, _index=index, _keep=keep, _split=split)
+
+    def __reduce__(self):
+        # a mapping proxy cannot be pickled, so rebuild from the init fields
+        return type(self), (self.name, self.letters, self.vowels, dict(self.folds))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -246,13 +264,12 @@ def load_alphabet(spec_text: str) -> Alphabet:
     return Alphabet(name=name, letters=tuple(letters), vowels=frozenset(vowels), folds=folds)
 
 
+@functools.cache
 def builtin_alphabet(name: str) -> Alphabet:
-    """Return one of the builtin alphabets by name."""
-    try:
-        spec = _BUILTIN_SPECS[name]
-    except KeyError:
-        raise InputError(f"unknown builtin alphabet {name!r}; have {', '.join(_BUILTIN_SPECS)}") from None
-    return load_alphabet(spec)
+    """Return one of the builtin alphabets by name, one shared object each."""
+    if name not in _BUILTIN_SPECS:
+        raise InputError(f"unknown builtin alphabet {name!r}; have {', '.join(_BUILTIN_SPECS)}")
+    return load_alphabet(_BUILTIN_SPECS[name])
 
 
 def first_foreign(symbols: str, inventory) -> str | None:
@@ -277,25 +294,18 @@ def encode(symbols: str, inventory) -> np.ndarray:
     return lookup[np.frombuffer(symbols.encode("utf-32-le"), dtype="<u4")]
 
 
-def non_letter(alphabet: Alphabet) -> str:
-    """The lowest code point that is no letter of `alphabet`, a word separator."""
-    # one of the first len + 1 code points is no letter
-    return min(set(map(chr, range(len(alphabet) + 1))).difference(alphabet.letters))
-
-
 class _LetterTable(dict):
     """``str.translate`` table, filled on demand: a character is lowercased
     (``İ`` gives two characters) and folded, and kept if it is then a
     letter; any other character becomes `discard` (None deletes it)."""
 
-    def __init__(self, alphabet: Alphabet, discard: str | None = None):
-        self.alphabet = alphabet
-        self.discard = discard
+    def __init__(self, folds: Mapping[str, str | None], letters: dict[str, int], discard: str | None = None):
+        self.folds, self.letters, self.discard = folds, letters, discard
 
     def __missing__(self, code: int) -> str | None:
         ch = chr(code).lower()
-        ch = self.alphabet.folds.get(ch, ch)
-        self[code] = letter = ch if ch is not None and ch in self.alphabet else self.discard
+        ch = self.folds.get(ch, ch)
+        self[code] = letter = ch if ch is not None and ch in self.letters else self.discard
         return letter
 
 
@@ -306,7 +316,7 @@ def normalize(raw: str, alphabet: Alphabet, source: str = "text") -> LetterSeque
     letters; everything else is discarded (the discard count lands in
     the provenance label). Idempotent on its own rendered output.
     """
-    symbols = raw.translate(_LetterTable(alphabet))
+    symbols = raw.translate(alphabet._keep)
     return LetterSequence(alphabet, symbols, source=f"{source} (discarded {len(raw) - len(symbols)})")
 
 
@@ -317,6 +327,5 @@ def tokenize_words(raw: str, alphabet: Alphabet, source: str = "text") -> WordSe
     discard folds, apostrophes, hyphens) ends the current word, so the
     concatenation of the words equals ``normalize(raw).symbols``.
     """
-    gap = non_letter(alphabet)
-    words = raw.translate(_LetterTable(alphabet, discard=gap)).split(gap)
+    words = raw.translate(alphabet._split).split(alphabet.separator)
     return WordSequence(alphabet, tuple(filter(None, words)), source=source)

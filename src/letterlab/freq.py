@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
-from .alphabet import Alphabet, LetterSequence, WordSequence, encode, non_letter
+from .alphabet import Alphabet, LetterSequence, WordSequence, encode
 from .errors import InputError
 from .rng import substream
 
@@ -63,7 +63,7 @@ class DigramTable:
 
     def __post_init__(self):
         for (a, b), n in self.counts.items():
-            if a not in self.alphabet or b not in self.alphabet:
+            if a not in self.alphabet._index or b not in self.alphabet._index:
                 raise InputError(f"pair ({a!r},{b!r}) not in alphabet {self.alphabet.name!r}")
             if n < 0:
                 raise InputError("negative count")
@@ -280,10 +280,9 @@ def positional_stats(words: WordSequence) -> PositionalStats:
     import numpy as np
 
     ab = words.alphabet
-    gap = non_letter(ab)
-    # every word between two single gaps, whose code is len(ab), so
+    # every word between two single separators, whose code is len(ab), so
     # equal neighbours are always two letters of one word
-    codes = encode(gap.join(("", *words.words, "")), (*ab.letters, gap))
+    codes = encode(ab.separator.join(("", *words.words, "")), (*ab.letters, ab.separator))
     gaps = np.flatnonzero(codes == len(ab))
     starts, ends = gaps[:-1] + 1, gaps[1:] - 1
     long = starts < ends

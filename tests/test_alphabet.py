@@ -1,13 +1,19 @@
+import gc
+import pickle
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
 from letterlab import (
+    Alphabet,
     AlphabetSpecError,
     InputError,
     LetterSequence,
     WordSequence,
     builtin_alphabet,
     builtin_names,
+    count_letters,
     load_alphabet,
     normalize,
     tokenize_words,
@@ -33,6 +39,73 @@ def test_all_builtins_satisfy_invariants():
         assert ab.vowels < set(ab.letters)
         for dst in ab.folds.values():
             assert dst is None or dst in set(ab.letters)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_builtin_alphabet_is_one_shared_object(name):
+    assert builtin_alphabet(name) is builtin_alphabet(name)
+
+
+def test_folds_are_read_only():
+    fr = builtin_alphabet("fr")
+    with pytest.raises(TypeError):
+        fr.folds["q"] = None
+    assert normalize("quoi", builtin_alphabet("fr")).symbols == "quoi"
+    assert builtin_alphabet("la").folds == {"j": "i", "v": "u"}
+
+
+def test_alphabet_keeps_its_own_copy_of_the_folds():
+    folds = {"é": "e"}
+    ab = Alphabet(name="t", letters=tuple("abe"), vowels=frozenset("ae"), folds=folds)
+    folds["a"] = None
+    assert normalize("é a", ab).symbols == "ea"
+    assert ab.folds == {"é": "e"}
+
+
+def test_fold_sources_must_be_lowercase():
+    # lookup happens after lowercasing, so an uppercase source could never fold
+    with pytest.raises(InputError, match="fold source 'É' is not lowercase"):
+        Alphabet(name="t", letters=tuple("abe"), vowels=frozenset("ae"), folds={"É": "e"})
+    with pytest.raises(InputError, match="fold source 'İ' is not lowercase"):
+        Alphabet(name="t", letters=tuple("abi"), vowels=frozenset("ai"), folds={"İ": "i"})
+    # a spec document lowercases its sources, so the same rule there folds
+    ab = load_alphabet("name: t\nletters: abe\nvowels: ae\nfold: É > e\n")
+    assert ab.folds == {"é": "e"}
+    assert normalize("É é", ab).symbols == "ee"
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_values_carrying_an_alphabet_pickle(protocol):
+    fr = builtin_alphabet("fr")
+    seq = normalize("Où est l'été ?", fr)
+    back = pickle.loads(pickle.dumps(seq, protocol))
+    assert back == seq and back.source == seq.source
+    assert back.alphabet.folds == fr.folds
+    assert normalize("Où est l'été ?", back.alphabet) == seq
+    words = tokenize_words("Où est l'été ?", fr)
+    assert pickle.loads(pickle.dumps(words, protocol)) == words
+    table = count_letters(seq)
+    assert pickle.loads(pickle.dumps(table, protocol)) == table
+
+
+def test_separator_is_the_lowest_code_point_that_is_no_letter(en):
+    assert en.separator == "\x00"
+    assert LOW.separator == "\x02"
+    assert tokenize_words("\x00\x02\x01a\x01", LOW).words == ("\x00", "\x01a\x01")
+
+
+def test_alphabet_is_freed_without_the_cycle_collector():
+    # the translate tables hold the folds and the letter index, not the alphabet
+    ab = load_alphabet(FOLD_SPEC)
+    normalize("dead", ab)
+    tokenize_words("de ad", ab)
+    ref = weakref.ref(ab)
+    gc.disable()
+    try:
+        del ab
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_latin_builtin_folds():
@@ -214,9 +287,11 @@ def test_normalize_never_longer_than_input(raw):
 
 
 # characters whose lowercase form is longer, odd, or a fold source
-TRICKY = "İ\u212aßﬁÉé'x"  # \u212a is the Kelvin sign
+TRICKY = "İ\u212aßﬁÉé'x\x00\x01\x02"  # \u212a is the Kelvin sign
 FOLD_SPEC = "name: toy\nletters: abcdefikstx\nvowels: aei\nfold: é > e\nfold: x > -\nfold: ' > -\n"
-ALPHABETS = [builtin_alphabet(name) for name in builtin_names()] + [load_alphabet(FOLD_SPEC)]
+# letters at the lowest code points, so the word separator is "\x02"
+LOW = Alphabet(name="low", letters=("\x00", "\x01", "a", "b"), vowels=frozenset("a"))
+ALPHABETS = [builtin_alphabet(name) for name in builtin_names()] + [load_alphabet(FOLD_SPEC), LOW]
 mixed_text = st.text(
     alphabet=st.one_of(st.characters(min_codepoint=32, max_codepoint=0x2FF), st.sampled_from(TRICKY)),
     max_size=200,
@@ -236,9 +311,6 @@ def reference_letters(raw, ab):
 @given(mixed_text, st.sampled_from(ALPHABETS))
 def test_normalize_and_tokenize_match_per_character_reference(raw, ab):
     mapped = reference_letters(raw, ab)
-    seq = normalize(raw, ab, source="t")
-    assert seq.symbols == "".join(m for m in mapped if m is not None)
-    assert seq.source == f"t (discarded {mapped.count(None)})"
     words, current = [], ""
     for m in mapped:
         if m is None:
@@ -249,7 +321,13 @@ def test_normalize_and_tokenize_match_per_character_reference(raw, ab):
             current += m
     if current:
         words.append(current)
-    assert tokenize_words(raw, ab).words == tuple(words)
+    # each alphabet keeps its translate tables, so the second round (and any
+    # later example on a module-level alphabet) reads entries already filled
+    for _ in range(2):
+        seq = normalize(raw, ab, source="t")
+        assert seq.symbols == "".join(m for m in mapped if m is not None)
+        assert seq.source == f"t (discarded {mapped.count(None)})"
+        assert tokenize_words(raw, ab).words == tuple(words)
 
 
 def test_tricky_characters(en):

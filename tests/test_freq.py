@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from letterlab import (
     Alphabet,
+    DigramTable,
     FrequencyTable,
     InputError,
     LetterSequence,
@@ -66,6 +67,25 @@ def test_count_digrams_basic(en):
 def test_count_digrams_single_letter(en):
     t = count_digrams(seq(en, "a"))
     assert t.total == 0 and not t.counts
+
+
+@pytest.mark.parametrize(
+    "counts, total, message",
+    [
+        ({("a", "b"): 1, ("a", "é"): 1}, 2, "pair ('a','é') not in alphabet 'en'"),
+        ({("é", "a"): 1}, 1, "pair ('é','a') not in alphabet 'en'"),
+        ({("a", "b"): -1, ("a", "é"): 1}, 0, "negative count"),
+        ({("a", "é"): 1, ("a", "b"): -1}, 0, "pair ('a','é') not in alphabet 'en'"),
+        ({("a", "b"): 1}, 2, "total does not match counts"),
+        ({}, 1, "total does not match counts"),
+    ],
+    ids=["foreign-second", "foreign-first", "negative-then-foreign", "foreign-then-negative", "total", "empty-total"],
+)
+def test_digram_table_messages(en, counts, total, message):
+    # the first bad pair in insertion order decides the message
+    with pytest.raises(InputError) as excinfo:
+        DigramTable(en, counts, total)
+    assert str(excinfo.value) == message
 
 
 @given(st.text(alphabet="abcz", max_size=60))
