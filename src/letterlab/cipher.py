@@ -120,6 +120,8 @@ class LanguageModel:
 
     def save(self, prefix: str) -> tuple[str, str]:
         """Write <prefix>.unigram.csv and <prefix>.digram.csv; returns the paths."""
+        if not prefix:
+            raise InputError("empty model file prefix")
         paths = f"{prefix}.unigram.csv", f"{prefix}.digram.csv"
         tables = (
             [["letter", "count"]] + [[ch, self.unigram.counts[ch]] for ch in self.alphabet.letters],
@@ -133,6 +135,8 @@ class LanguageModel:
     @classmethod
     def load(cls, prefix: str, alphabet: Alphabet) -> "LanguageModel":
         """Read the two CSV tables written by :meth:`save`."""
+        if not prefix:
+            raise InputError("empty model file prefix")
         ucounts = _model_table(f"{prefix}.unigram.csv", "unigram", ["letter", "count"], alphabet)
         dcounts = _model_table(f"{prefix}.digram.csv", "digram", ["first", "second", "count"], alphabet)
         unigram = FrequencyTable.from_counts(alphabet, {letter: n for (letter,), n in ucounts.items()})

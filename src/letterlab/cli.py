@@ -373,8 +373,6 @@ def _zipf(args) -> Report:
 
 
 def _solve(args) -> Report:
-    if not args.model:
-        raise InputError("solve requires --model")
     ab = args.alphabet
     model = LanguageModel.load(args.model, ab)
     cryptogram = _corpus(args, args.input, parse_cryptogram)
@@ -411,8 +409,6 @@ def _solve(args) -> Report:
 
 
 def _train_model(args) -> Report:
-    if not args.out:
-        raise InputError("train-model requires --out")
     seq = _corpus(args, args.input)
     if len(seq) == 0:
         raise InputError("empty corpus")

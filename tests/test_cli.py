@@ -409,6 +409,28 @@ def test_missing_model_file_is_a_data_error(capsys, tmp_path):
         assert err.endswith(".unigram.csv': No such file or directory\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--model", "", "--length", "5"],
+        ["solve", "--model", "", "cipher.txt"],
+        ["train-model", PLAINTEXT, "--out", ""],
+    ],
+    ids=["generate", "solve", "train-model"],
+)
+def test_empty_model_prefix_is_a_data_error(capsys, monkeypatch, tmp_path, argv):
+    # the prefix "" names .unigram.csv and .digram.csv in the working directory, so place a model there
+    assert run_cli(capsys, "train-model", ANALYSIS, "--out", str(tmp_path / "m"))[0] == 0
+    for kind in ("unigram", "digram"):
+        os.replace(tmp_path / f"m.{kind}.csv", tmp_path / f".{kind}.csv")
+    (tmp_path / "cipher.txt").write_text("wkh txlfn eurzq ira", encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and err == "letterlab: error: empty model file prefix\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_undecodable_input_is_a_data_error(capsys, monkeypatch, tmp_path):
     import io
 

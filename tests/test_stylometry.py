@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from letterlab import (
+    Alphabet,
     FrequencyTable,
     InputError,
     LetterSequence,
@@ -17,7 +19,7 @@ from letterlab import (
     two_sample_proportion_test,
     vc_profile,
 )
-from letterlab.stylometry import _binom_cdf, blocks_of
+from letterlab.stylometry import LipogramFlag, _binom_cdf, blocks_of
 
 
 def test_vc_profile_banana(en):
@@ -201,6 +203,88 @@ def test_lipogram_zero_reference_proportion_never_flagged(en):
     # a (expected half the text) is flagged; letters with reference
     # proportion 0 are not, even though they were never observed either
     assert [f.letter for f in flags] == ["a"]
+
+
+def every_tail_scan(observed, reference, alpha):
+    """lipogram_scan as it was when it computed a tail for every letter with p_ref > 0."""
+    n = observed.total
+    cutoff = alpha / len(observed.alphabet.letters)
+    flags = []
+    for ch in observed.alphabet.letters:
+        p_ref = reference.proportion(ch)
+        if p_ref == 0.0:
+            continue
+        obs = observed.counts[ch]
+        p_val = _binom_cdf(obs, n, p_ref)
+        if obs >= n * p_ref:
+            assert p_val >= 0.5  # the median bound that lets lipogram_scan skip this tail
+        if p_val < cutoff:
+            flags.append(LipogramFlag(letter=ch, observed=obs, expected=n * p_ref, p_value=p_val))
+    return flags
+
+
+SMALL_ALPHABETS = {
+    size: Alphabet(name=f"first{size}", letters=tuple("abcdefghijklmnopqrstuvwxyz"[:size]), vowels=frozenset("a"))
+    for size in range(2, 27)
+}
+
+
+def table(counts: list[int]) -> FrequencyTable:
+    ab = SMALL_ALPHABETS[len(counts)]
+    return FrequencyTable.from_counts(ab, dict(zip(ab.letters, counts)))
+
+
+@st.composite
+def lipogram_cases(draw):
+    size = draw(st.integers(2, 26))
+    counts = st.lists(st.just(0) | st.integers(0, 400), min_size=size, max_size=size)
+    one_letter = st.tuples(st.integers(0, size - 1), st.integers(1, 10**6)).map(
+        lambda c: [c[1] if i == c[0] else 0 for i in range(size)]
+    )
+    observed = draw(counts | st.just([0] * size))
+    reference = draw((counts | one_letter).filter(any))
+    alpha = draw(st.floats(1e-12, 0.999999) | st.just(0.999999))
+    return table(observed), table(reference), alpha
+
+
+def flag_bits(flags):
+    return [(f.letter, f.observed, f.expected.hex(), f.p_value.hex()) for f in flags]
+
+
+@settings(max_examples=200, deadline=None)
+@given(lipogram_cases())
+@example((table([0, 0, 0]), table([5, 1, 0]), 0.5))  # an observed total of 0
+@example((table([3, 9]), table([0, 7]), 0.999999))  # a one-letter reference: p_ref is 0 for a and 1 for b
+@example((table([2, 2]), table([1, 1]), 0.999999))  # observed exactly at the expected count
+def test_lipogram_scan_matches_a_tail_for_every_letter(case):
+    observed, reference, alpha = case
+    expected = every_tail_scan(observed, reference, alpha)
+    assert flag_bits(lipogram_scan(observed, reference, alpha)) == flag_bits(expected)
+
+
+def test_lipogram_computes_tails_only_below_the_expected_count(en, analysis_corpus, monkeypatch):
+    import letterlab.stylometry
+
+    reference = count_letters(analysis_corpus)
+    observed = count_letters(LetterSequence(en, analysis_corpus.symbols[:3000]))
+    n = observed.total
+    tails = [(observed.counts[ch], n, reference.proportion(ch)) for ch in en.letters]
+    below = [t for t in tails if t[0] < n * t[2]]
+    assert 0 < len(below) < len(en.letters)
+    calls = []
+
+    def counting_binom_cdf(k, n, p):
+        calls.append((k, n, p))
+        return _binom_cdf(k, n, p)
+
+    monkeypatch.setattr(letterlab.stylometry, "_binom_cdf", counting_binom_cdf)
+    lipogram_scan(observed, reference, alpha=0.01)
+    assert calls == below
+    calls.clear()
+    # a, b, c and d each sit exactly at their expected count 20 * 1/4; the other letters at 0 * 0
+    at_expected = FrequencyTable.from_counts(en, dict.fromkeys("abcd", 5))
+    lipogram_scan(at_expected, FrequencyTable.from_counts(en, dict.fromkeys("abcd", 1)))
+    assert calls == []
 
 
 def test_lipogram_monotone_in_alpha(en, analysis_corpus):
