@@ -15,6 +15,7 @@ ranks carry too little signal for the seed key to mean much.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -117,6 +118,19 @@ class LanguageModel:
     @classmethod
     def train(cls, seq: LetterSequence) -> "LanguageModel":
         return cls(unigram=count_letters(seq), digram=count_digrams(seq))
+
+    @functools.cached_property
+    def _log_probs(self) -> np.ndarray:
+        """Read-only table of the digram log-probabilities :func:`score` sums."""
+        import numpy as np
+
+        letters, lam = self.alphabet.letters, self.smoothing
+        dens = [self.unigram.counts[a] + lam * len(letters) for a in letters]
+        logp = np.array(
+            [[math.log((self.digram.count(a, b) + lam) / den) for b in letters] for a, den in zip(letters, dens)]
+        )
+        logp.flags.writeable = False
+        return logp
 
     def save(self, prefix: str) -> tuple[str, str]:
         """Write <prefix>.unigram.csv and <prefix>.digram.csv; returns the paths."""
@@ -270,17 +284,7 @@ def score(seq: LetterSequence, model: LanguageModel) -> float:
     if len(seq.symbols) == 0:
         raise InputError("empty sequence")
     codes = encode(seq.symbols, seq.alphabet.letters)
-    return ordered_sum(_log_prob_matrix(model)[codes[:-1], codes[1:]].tolist())
-
-
-def _log_prob_matrix(model: LanguageModel) -> np.ndarray:
-    import numpy as np
-
-    letters, lam = model.alphabet.letters, model.smoothing
-    dens = [model.unigram.counts[a] + lam * len(letters) for a in letters]
-    return np.array(
-        [[math.log((model.digram.count(a, b) + lam) / den) for b in letters] for a, den in zip(letters, dens)]
-    )
+    return ordered_sum(model._log_probs[codes[:-1], codes[1:]].tolist())
 
 
 def hill_climb_solve(
@@ -321,7 +325,7 @@ def hill_climb_solve(
         raise InputError("alphabet mismatch")
 
     size = len(c.symbol_set)
-    logp = _log_prob_matrix(model)
+    logp = model._log_probs
     codes = encode(c.symbols, c.symbol_set)
     ndig = np.bincount(codes[:-1] * size + codes[1:], minlength=size * size).reshape(size, size).astype(float)
     # frequency match as `matched[symbol index] = letter index`: symbols by

@@ -183,7 +183,7 @@ def _positions(args) -> Report:
     sections["double"] = ps.doubles
     lines = [f"words: {ps.word_count}"]
     for name, counts in sections.items():
-        top = sorted(ab.letters, key=lambda ch: (-counts[ch], ab.index(ch)))[:5]
+        top = sorted(ab.letters, key=lambda ch: -counts[ch])[:5]
         lines.append(f"  {name:<12} " + ", ".join(f"{ch}:{counts[ch]}" for ch in top))
     return Report(
         ["section", "letter", "count"],

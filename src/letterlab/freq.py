@@ -172,8 +172,8 @@ def merge(a, b):
 
 
 def rank_order(t: FrequencyTable) -> list[str]:
-    """Letters by decreasing count; ties broken by alphabet letter order."""
-    return sorted(t.alphabet.letters, key=lambda ch: (-t.counts[ch], t.alphabet.index(ch)))
+    """Letters by decreasing count; a stable sort keeps ties in alphabet letter order."""
+    return sorted(t.alphabet.letters, key=lambda ch: -t.counts[ch])
 
 
 def proportion_ci(count: int, total: int, level: float = 0.95) -> ConfidenceInterval:
@@ -184,8 +184,8 @@ def proportion_ci(count: int, total: int, level: float = 0.95) -> ConfidenceInte
         center = (p^ + z^2/2n) / (1 + z^2/n)
         half   = z * sqrt(p^(1-p^)/n + z^2/4n^2) / (1 + z^2/n)
 
-    Bounds are clamped to [0, 1] against float round-off. At count 0 the
-    lower bound is exactly 0, which the Wald approximation gets wrong.
+    Bounds are clamped to [0, p^] and [p^, 1] against float round-off. At
+    count 0 the lower bound is exactly 0, which the Wald approximation gets wrong.
     """
     if total <= 0:
         raise InputError("total must be positive")
@@ -199,10 +199,8 @@ def proportion_ci(count: int, total: int, level: float = 0.95) -> ConfidenceInte
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
     half = z * math.sqrt(phat * (1.0 - phat) / n + z * z / (4 * n * n)) / denom
-    lower = min(max(center - half, 0.0), 1.0)
-    upper = max(min(center + half, 1.0), 0.0)
-    lower = min(lower, phat)
-    upper = max(upper, phat)
+    lower = min(max(center - half, 0.0), phat)
+    upper = max(min(center + half, 1.0), phat)
     return ConfidenceInterval(estimate=phat, lower=lower, upper=upper, level=level)
 
 

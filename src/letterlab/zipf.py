@@ -80,8 +80,6 @@ def fit_power_law(rf: RankFrequency, min_count: int = 5) -> PowerLawFit:
     if n < 2:
         raise InputError(f"need at least 2 entries with count >= {min_count}, have {n}")
     mx, my, sxx, syy, sxy = moments([math.log(e.rank) for e in used], [math.log(e.count) for e in used])
-    if sxx == 0.0:
-        raise InputError("degenerate fit: all ranks identical")
     # counts are non-increasing, so equal ends mean flat counts, which the
     # zero-slope line fits exactly; their logs' rounded mean can leave syy and
     # sxy a few ulps off zero

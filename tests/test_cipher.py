@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import random
 import re
 import sys
@@ -31,7 +32,6 @@ from letterlab import (
     score,
 )
 from letterlab.alphabet import encode
-from letterlab.cipher import _log_prob_matrix
 from letterlab.rng import substream
 
 ABC = Alphabet(name="abc", letters=("a", "b", "c"), vowels=frozenset("a"))
@@ -213,6 +213,46 @@ def test_score_empty_sequence_errors(en, training_model):
         score(LetterSequence(en, ""), training_model)
 
 
+def test_a_model_builds_its_log_probability_table_once(monkeypatch, en, training_corpus, solver_plaintext):
+    model = LanguageModel.train(training_corpus)
+    c = encrypt(LetterSequence(en, solver_plaintext.symbols[:300]), en_key(en, "zyxwvutsrqponmlkjihgfedcba"))
+    # the table takes one math.log per letter pair, so each build makes 26 * 26 calls
+    real_log, calls = math.log, []
+    monkeypatch.setattr(math, "log", lambda x: calls.append(x) or real_log(x))
+    first = hill_climb_solve(c, model, restarts=2, seed=3)
+    assert len(calls) == 26 * 26
+    # a later solve or score on the same model reads the same table
+    assert hill_climb_solve(c, model, restarts=2, seed=3) == first
+    assert score(first.plaintext, model) == first.best_score
+    assert len(calls) == 26 * 26
+
+
+def test_log_probability_table_is_read_only(en, training_model, solver_plaintext):
+    seq = LetterSequence(en, solver_plaintext.symbols[:200])
+    before = score(seq, training_model)
+    with pytest.raises(ValueError):
+        training_model._log_probs[0, 0] = 0.0
+    assert score(seq, training_model) == before
+
+
+def test_replaced_smoothing_scores_with_the_new_pseudo_count(en, training_model, solver_plaintext):
+    seq = LetterSequence(en, solver_plaintext.symbols[:500])
+    at_half = score(seq, training_model)  # the 0.5 table exists before the replace
+    replaced = dataclasses.replace(training_model, smoothing=2.0)
+    direct = LanguageModel(training_model.unigram, training_model.digram, smoothing=2.0)
+    assert score(seq, replaced).hex() == score(seq, direct).hex()
+    assert score(seq, replaced) != at_half
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_a_pickled_model_that_has_scored_scores_the_same(protocol, en, training_model, solver_plaintext):
+    seq = LetterSequence(en, solver_plaintext.symbols[:500])
+    before = score(seq, training_model)
+    back = pickle.loads(pickle.dumps(training_model, protocol))
+    assert back == training_model
+    assert score(seq, back).hex() == before.hex()
+
+
 def test_score_invariant_under_relabeling(en, training_model):
     rng = random.Random(31)
     targets = list(en.letters)
@@ -303,7 +343,7 @@ def solve_reference(c, model, restarts, seed, with_score=False):
     hill_climb_solve's one-expression sweep replaced, and with `with_score`
     its full score too."""
     size = len(c.symbol_set)
-    logp = _log_prob_matrix(model)
+    logp = model._log_probs
     codes = encode(c.symbols, c.symbol_set)
     ndig = np.bincount(codes[:-1] * size + codes[1:], minlength=size * size).reshape(size, size).astype(float)
 
@@ -429,7 +469,7 @@ def test_solver_rejects_a_model_over_another_alphabet_before_any_restart(monkeyp
     def refuse(*args, **kwargs):
         raise AssertionError("the solve started before the alphabet check")
 
-    monkeypatch.setattr("letterlab.cipher._log_prob_matrix", refuse)
+    monkeypatch.setattr(LanguageModel, "_log_probs", property(refuse))
     with pytest.raises(InputError, match="^alphabet mismatch$"):
         hill_climb_solve(c, training_model, restarts=50)
 

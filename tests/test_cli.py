@@ -358,7 +358,7 @@ def test_sizes_above_their_bound_are_data_errors(capsys, monkeypatch, tmp_path, 
     cipher.write_text("wkh txlfn eurzq ira", encoding="utf-8")
     # the bound is checked before a walk or a solve does any work
     monkeypatch.setattr(letterlab.markov, "_walk", refuse)
-    monkeypatch.setattr(letterlab.cipher, "_log_prob_matrix", refuse)
+    monkeypatch.setattr(letterlab.cipher.LanguageModel, "_log_probs", property(refuse))
     code, out, err = run_cli(capsys, *(a.format(model=model, cipher=cipher) for a in argv))
     assert code == 1 and out == ""
     assert err.startswith("letterlab: error: ") and message in err

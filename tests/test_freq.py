@@ -1,9 +1,10 @@
 import math
 import random
 from collections import Counter
+from statistics import NormalDist
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from letterlab import (
     Alphabet,
@@ -14,6 +15,7 @@ from letterlab import (
     PositionalStats,
     WordSequence,
     builtin_alphabet,
+    builtin_names,
     compare_tables,
     count_digrams,
     count_letters,
@@ -180,6 +182,21 @@ def test_rank_order_is_permutation(en):
     assert sorted(rank_order(t)) == sorted(en.letters)
 
 
+# letters out of code-point order, so a tie kept in code-point order would show
+UNSORTED = Alphabet(name="unsorted", letters=tuple("zqéab"), vowels=frozenset("éa"))
+
+
+@given(
+    st.sampled_from([*map(builtin_alphabet, builtin_names()), UNSORTED]).flatmap(
+        lambda ab: st.tuples(st.just(ab), st.lists(st.integers(0, 2), min_size=len(ab), max_size=len(ab)))
+    )
+)
+def test_rank_order_matches_count_then_index_key(case):
+    ab, counts = case
+    t = FrequencyTable.from_counts(ab, dict(zip(ab.letters, counts)))
+    assert rank_order(t) == sorted(ab.letters, key=lambda ch: (-t.counts[ch], ab.index(ch)))
+
+
 def test_wilson_zero_count_lower_bound_is_zero():
     ci = proportion_ci(0, 100, 0.95)
     assert ci.lower == 0.0
@@ -216,6 +233,45 @@ def test_wilson_errors():
         proportion_ci(5, 10, 1.0)
     with pytest.raises(InputError):
         proportion_ci(11, 10, 0.95)
+
+
+def four_clamp_wilson(count, total, level):
+    """Wilson bounds clamped to [0, 1] and then to the estimate. The estimate
+    lies in [0, 1], so the lower bound's clamp at 1 and the upper bound's
+    clamp at 0 never decide, and proportion_ci leaves them out."""
+    z = NormalDist().inv_cdf((1.0 + level) / 2.0)
+    n = total
+    phat = count / n
+    denom = 1.0 + z * z / n
+    center = (phat + z * z / (2 * n)) / denom
+    half = z * math.sqrt(phat * (1.0 - phat) / n + z * z / (4 * n * n)) / denom
+    lower = min(min(max(center - half, 0.0), 1.0), phat)
+    upper = max(max(min(center + half, 1.0), 0.0), phat)
+    return phat, lower, upper
+
+
+@example((0, 1), 0.95)
+@example((1, 1), 0.95)
+@example((0, 10**15), 1 - 2**-52)
+@example((10**15, 10**15), 1 - 2**-52)
+@example((10**15 - 1, 10**15), 5e-324)
+@example((1, 10**15), 1e-300)
+@settings(max_examples=300)
+@given(
+    st.integers(1, 10**15).flatmap(
+        lambda total: st.tuples(st.one_of(st.just(0), st.just(total), st.integers(0, total)), st.just(total))
+    ),
+    # up to the last level below 1 whose (1 + level) / 2 also stays below 1
+    st.one_of(
+        st.floats(0.0, 1 - 2**-52, exclude_min=True),
+        st.sampled_from([5e-324, 1e-300, 1e-9, 1 - 1e-9, 1 - 2**-52]),
+    ),
+)
+def test_wilson_matches_the_four_clamp_formula(case, level):
+    count, total = case
+    ci = proportion_ci(count, total, level)
+    expected = four_clamp_wilson(count, total, level)
+    assert (ci.estimate.hex(), ci.lower.hex(), ci.upper.hex()) == tuple(x.hex() for x in expected)
 
 
 @given(st.integers(0, 50), st.integers(1, 8))
