@@ -191,9 +191,12 @@ def proportion_ci(count: int, total: int, level: float = 0.95) -> ConfidenceInte
         raise InputError("total must be positive")
     if not 0 < level < 1:
         raise InputError("level must lie strictly between 0 and 1")
+    quantile = (1.0 + level) / 2.0
+    if quantile == 1.0:
+        raise InputError("level is too close to 1: (1 + level) / 2 rounds to 1")
     if count < 0 or count > total:
         raise InputError("count must lie in [0, total]")
-    z = NormalDist().inv_cdf((1.0 + level) / 2.0)
+    z = NormalDist().inv_cdf(quantile)
     n = total
     phat = count / n
     denom = 1.0 + z * z / n

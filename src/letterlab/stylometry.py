@@ -210,6 +210,9 @@ def lipogram_scan(
     A letter observed at or above its expected count n * p gets no tail
     and no flag, because the binomial median is at most ceil(n * p)
     (Kaas & Buhrman 1980), so its tail is at least 1/2.
+    A letter below it is skipped too when its tail's last term t(k), from
+    the summing loop's own expression, is at least the cutoff: the loop adds
+    t(k) last to terms >= 0, so the computed tail cannot fall below t(k).
     """
     if observed.alphabet != reference.alphabet:
         raise InputError("alphabet mismatch")
@@ -219,11 +222,16 @@ def lipogram_scan(
         raise InputError("alpha must lie strictly between 0 and 1")
     n = observed.total
     cutoff = alpha / len(observed.alphabet.letters)
+    lg_n = math.lgamma(n + 1)
     flags = []
     for ch in observed.alphabet.letters:
         p_ref, obs = reference.proportion(ch), observed.counts[ch]
         if obs >= n * p_ref:
             continue
+        if p_ref < 1.0:  # t(k) exactly as _binom_cdf's loop adds it, with its lp and lq
+            lp, lq = math.log(p_ref), math.log1p(-p_ref)
+            if math.exp(lg_n - math.lgamma(obs + 1) - math.lgamma(n - obs + 1) + obs * lp + (n - obs) * lq) >= cutoff:
+                continue
         p_val = _binom_cdf(obs, n, p_ref)
         if p_val < cutoff:
             flags.append(LipogramFlag(letter=ch, observed=obs, expected=n * p_ref, p_value=p_val))

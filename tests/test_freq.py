@@ -235,6 +235,13 @@ def test_wilson_errors():
         proportion_ci(11, 10, 0.95)
 
 
+def test_wilson_level_whose_quantile_rounds_to_one():
+    level = 1 - 2**-53  # the largest float below 1
+    assert (1.0 + level) / 2.0 == 1.0
+    with pytest.raises(InputError, match="level"):
+        proportion_ci(5, 10, level)
+
+
 def four_clamp_wilson(count, total, level):
     """Wilson bounds clamped to [0, 1] and then to the estimate. The estimate
     lies in [0, 1], so the lower bound's clamp at 1 and the upper bound's

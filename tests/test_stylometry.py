@@ -205,6 +205,30 @@ def test_lipogram_zero_reference_proportion_never_flagged(en):
     assert [f.letter for f in flags] == ["a"]
 
 
+def last_term(k, n, p):
+    """t(k), the last term of _binom_cdf's sum, by the expression of its loop."""
+    lp, lq = math.log(p), math.log1p(-p)
+    return math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) + k * lp + (n - k) * lq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 10**6),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.integers(1, 50) | st.integers(1, 10**6),
+    st.floats(1e-12, 0.5),
+)
+@example(10, 0.5, 1, last_term(4, 10, 0.5))  # the skip fires at a cutoff equal to t(k)
+@example(10**6, 0.5, 1, 1e-12)  # about 19,500 terms summed up to k
+@example(10**6, 1e-5, 1, last_term(9, 10**6, 1e-5))
+def test_a_last_term_at_the_cutoff_means_a_tail_at_the_cutoff(n, p, below, cutoff):
+    """The rule that lets lipogram_scan skip a tail: t(k) >= cutoff implies P(X <= k) >= cutoff."""
+    k = max(0, math.ceil(n * p) - below)  # below = 1 gives the largest k below n * p
+    assert k < n * p
+    if last_term(k, n, p) >= cutoff:
+        assert _binom_cdf(k, n, p) >= cutoff
+
+
 def every_tail_scan(observed, reference, alpha):
     """lipogram_scan as it was when it computed a tail for every letter with p_ref > 0."""
     n = observed.total
@@ -256,6 +280,9 @@ def flag_bits(flags):
 @example((table([0, 0, 0]), table([5, 1, 0]), 0.5))  # an observed total of 0
 @example((table([3, 9]), table([0, 7]), 0.999999))  # a one-letter reference: p_ref is 0 for a and 1 for b
 @example((table([2, 2]), table([1, 1]), 0.999999))  # observed exactly at the expected count
+@example((table([4, 6]), table([1, 1]), 2 * last_term(4, 10, 0.5)))  # t(k) equals the cutoff: a's tail is skipped
+# t(k) one ulp below the cutoff: a's tail is summed, and with k = 0 it is t(k) alone, so a is flagged
+@example((table([0, 10]), table([1, 1]), 2 * math.nextafter(last_term(0, 10, 0.5), math.inf)))
 def test_lipogram_scan_matches_a_tail_for_every_letter(case):
     observed, reference, alpha = case
     expected = every_tail_scan(observed, reference, alpha)
@@ -263,14 +290,10 @@ def test_lipogram_scan_matches_a_tail_for_every_letter(case):
 
 
 def test_lipogram_computes_tails_only_below_the_expected_count(en, analysis_corpus, monkeypatch):
+    """A tail is summed only for a letter below its expected count whose last term t(k) is below the cutoff."""
     import letterlab.stylometry
 
     reference = count_letters(analysis_corpus)
-    observed = count_letters(LetterSequence(en, analysis_corpus.symbols[:3000]))
-    n = observed.total
-    tails = [(observed.counts[ch], n, reference.proportion(ch)) for ch in en.letters]
-    below = [t for t in tails if t[0] < n * t[2]]
-    assert 0 < len(below) < len(en.letters)
     calls = []
 
     def counting_binom_cdf(k, n, p):
@@ -278,8 +301,18 @@ def test_lipogram_computes_tails_only_below_the_expected_count(en, analysis_corp
         return _binom_cdf(k, n, p)
 
     monkeypatch.setattr(letterlab.stylometry, "_binom_cdf", counting_binom_cdf)
-    lipogram_scan(observed, reference, alpha=0.01)
-    assert calls == below
+    e_free = "".join(ch for ch in analysis_corpus.symbols if ch != "e")[:5000]
+    for symbols, alpha in [(analysis_corpus.symbols[:3000], 0.01), (e_free, 1e-6)]:
+        observed = count_letters(LetterSequence(en, symbols))
+        n, cutoff = observed.total, alpha / len(en.letters)
+        tails = [(observed.counts[ch], n, reference.proportion(ch)) for ch in en.letters]
+        below = [t for t in tails if t[0] < n * t[2]]
+        assert 0 < len(below) < len(en.letters)
+        calls.clear()
+        lipogram_scan(observed, reference, alpha)
+        assert calls == [t for t in below if last_term(*t) < cutoff]
+    # the e-free sample still sums the tail of e
+    assert (0, 5000, reference.proportion("e")) in calls
     calls.clear()
     # a, b, c and d each sit exactly at their expected count 20 * 1/4; the other letters at 0 * 0
     at_expected = FrequencyTable.from_counts(en, dict.fromkeys("abcd", 5))
