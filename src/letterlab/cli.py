@@ -9,6 +9,8 @@ alphabet spec, empty corpus), 2 usage error.
 Every subcommand is one :class:`Command` entry of :data:`COMMANDS`: its
 arguments, its default format, and a function from the parsed arguments
 to a :class:`Report`, which renders itself in each of :data:`FORMATS`.
+Each such function imports the analysis modules it calls, so a process
+loads only what its command runs.
 """
 
 from __future__ import annotations
@@ -23,36 +25,8 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from . import __version__
-from .alphabet import (
-    Alphabet,
-    builtin_alphabet,
-    builtin_names,
-    load_alphabet,
-    normalize,
-    tokenize_words,
-)
-from .cipher import LanguageModel, hill_climb_solve, parse_cryptogram
+from .alphabet import Alphabet, builtin_alphabet, builtin_names, load_alphabet, normalize, tokenize_words
 from .errors import InputError, read_text
-from .freq import (
-    compare_tables,
-    count_digrams,
-    count_letters,
-    positional_stats,
-    rank_order,
-    stability_curve,
-)
-from .markov import STATES, entropy_estimates, fit_transitions, generate, independence_test, to_vc_sequence
-from .stylometry import (
-    ORATOR_THRESHOLD,
-    POETRY_THRESHOLD,
-    alberti_test,
-    blocks_of,
-    compass_of_variation,
-    lipogram_scan,
-    two_sample_proportion_test,
-    vc_profile,
-)
-from .zipf import fit_power_law, word_rank_frequency
 
 FORMATS = ("csv", "json", "text")
 SEED_LIMIT = 1 << 64
@@ -120,6 +94,8 @@ def _corpus(args: argparse.Namespace, path: str, parse=normalize):
 
 
 def _count(args) -> Report:
+    from .freq import count_letters, rank_order
+
     table = count_letters(_corpus(args, args.input))
     ab = table.alphabet
     ranks = rank_order(table)
@@ -140,6 +116,8 @@ def _count(args) -> Report:
 
 
 def _digrams(args) -> Report:
+    from .freq import count_digrams
+
     table = count_digrams(_corpus(args, args.input))
     counts, total, pairs = table.counts, table.total, table._ordered_pairs()
     ranked = sorted(((pair, counts[pair]) for pair in pairs), key=lambda kv: -kv[1])
@@ -152,6 +130,8 @@ def _digrams(args) -> Report:
 
 
 def _compare(args) -> Report:
+    from .freq import compare_tables, count_letters
+
     a, b = count_letters(_corpus(args, args.input0)), count_letters(_corpus(args, args.input1))
     d = compare_tables(a, b)
     return _record(
@@ -165,6 +145,8 @@ def _compare(args) -> Report:
 
 
 def _stability(args) -> Report:
+    from .freq import stability_curve
+
     seq = _corpus(args, args.input)
     curve = stability_curve(seq, list(args.sizes), seed=args.seed if args.random else None)
     return _table(
@@ -176,6 +158,8 @@ def _stability(args) -> Report:
 
 
 def _positions(args) -> Report:
+    from .freq import positional_stats
+
     words = _corpus(args, args.input, tokenize_words)
     ab = words.alphabet
     ps = positional_stats(words)
@@ -207,6 +191,8 @@ def _opt6(v: float | int | None) -> str:
 
 
 def _style_vc(args) -> Report:
+    from .stylometry import vc_profile
+
     p = vc_profile(_corpus(args, args.input))
     return _record(
         {
@@ -226,6 +212,8 @@ def _style_vc(args) -> Report:
 
 
 def _style_alberti(args) -> Report:
+    from .stylometry import ORATOR_THRESHOLD, POETRY_THRESHOLD, alberti_test, vc_profile
+
     v = alberti_test(vc_profile(_corpus(args, args.input)))
     share6 = f"{float(v.vowel_share):.6f}"
     poetry, orator = str(v.above_poetry_threshold).lower(), str(v.above_orator_threshold).lower()
@@ -251,12 +239,16 @@ def _style_alberti(args) -> Report:
 
 
 def _style_compare(args) -> Report:
+    from .stylometry import two_sample_proportion_test, vc_profile
+
     a, b = vc_profile(_corpus(args, args.input0)), vc_profile(_corpus(args, args.input1))
     z, p = two_sample_proportion_test(a, b)
     return _record({"z": z, "p_value": p}, [f"z statistic: {_num(z)}", f"two-sided p: {_num(p)}"])
 
 
 def _style_compass(args) -> Report:
+    from .stylometry import blocks_of, compass_of_variation
+
     s = compass_of_variation(blocks_of(_corpus(args, args.input), block_size=args.block_size))
     return _record(
         asdict(s),
@@ -271,6 +263,9 @@ def _style_compass(args) -> Report:
 
 
 def _lipogram(args) -> Report:
+    from .freq import count_letters
+    from .stylometry import lipogram_scan
+
     observed = count_letters(_corpus(args, args.input))
     reference = count_letters(_corpus(args, args.reference))
     flags = lipogram_scan(observed, reference, alpha=args.alpha)
@@ -289,6 +284,8 @@ def _lipogram(args) -> Report:
 
 
 def _markov_test(args) -> Report:
+    from .markov import STATES, fit_transitions, independence_test, to_vc_sequence
+
     rep = independence_test(fit_transitions(to_vc_sequence(_corpus(args, args.input))))
     p = rep.transition_probabilities
     d = {
@@ -309,6 +306,9 @@ def _markov_test(args) -> Report:
 
 
 def _entropy(args) -> Report:
+    from .freq import count_digrams, count_letters
+    from .markov import entropy_estimates
+
     seq = _corpus(args, args.input)
     rep = entropy_estimates(count_letters(seq), count_digrams(seq))
     return _record(
@@ -322,9 +322,13 @@ def _entropy(args) -> Report:
 
 
 def _generate(args) -> Report:
+    from .markov import fit_transitions, generate, to_vc_sequence
+
     if (args.model is None) == (args.vc_corpus is None):
         raise InputError("generate requires exactly one of --model or --vc-corpus")
     if args.model is not None:
+        from .cipher import LanguageModel
+
         order = 1 if args.order is None else args.order
         model = LanguageModel.load(args.model, args.alphabet)
         sequence = generate(model, args.length, seed=args.seed, order=order).symbols
@@ -344,6 +348,8 @@ def _generate(args) -> Report:
 
 
 def _zipf(args) -> Report:
+    from .zipf import fit_power_law, word_rank_frequency
+
     rf = word_rank_frequency(_corpus(args, args.input, tokenize_words))
     try:
         fit = fit_power_law(rf, min_count=args.min_count)
@@ -373,6 +379,8 @@ def _zipf(args) -> Report:
 
 
 def _solve(args) -> Report:
+    from .cipher import LanguageModel, hill_climb_solve, parse_cryptogram
+
     ab = args.alphabet
     model = LanguageModel.load(args.model, ab)
     cryptogram = _corpus(args, args.input, parse_cryptogram)
@@ -409,6 +417,8 @@ def _solve(args) -> Report:
 
 
 def _train_model(args) -> Report:
+    from .cipher import LanguageModel
+
     seq = _corpus(args, args.input)
     if len(seq) == 0:
         raise InputError("empty corpus")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from statistics import NormalDist
 
 from .alphabet import Alphabet, LetterSequence, WordSequence, encode
 from .errors import InputError
@@ -187,6 +186,8 @@ def proportion_ci(count: int, total: int, level: float = 0.95) -> ConfidenceInte
     Bounds are clamped to [0, p^] and [p^, 1] against float round-off. At
     count 0 the lower bound is exactly 0, which the Wald approximation gets wrong.
     """
+    from statistics import NormalDist
+
     if total <= 0:
         raise InputError("total must be positive")
     if not 0 < level < 1:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from statistics import NormalDist
 
 from .alphabet import LetterSequence
 from .errors import InputError
@@ -127,6 +126,8 @@ def two_sample_proportion_test(a: VCProfile, b: VCProfile) -> tuple[float, float
     Returns (z, two-sided p). Antisymmetric in its arguments: swapping
     them negates z and keeps p.
     """
+    from statistics import NormalDist
+
     if a.total == 0 or b.total == 0:
         raise InputError("empty profile")
     n1, n2 = a.total, b.total

@@ -453,17 +453,32 @@ def test_module_runs_as_script(module):
 
 
 # imports letterlab, runs main(argv) when argv is given, and reports on
-# stderr whether numpy was imported along the way
-NUMPY_PROBE = """
+# stderr, as one JSON line, whether numpy and statistics were imported along
+# the way and which letterlab submodules were
+IMPORT_PROBE = """
+import json
 import sys
 import letterlab
 code = 0
 if sys.argv[1:]:
     from letterlab.cli import main
     code = main(sys.argv[1:])
-print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
+loaded = {"numpy": "numpy" in sys.modules, "statistics": "statistics" in sys.modules}
+loaded["letterlab"] = sorted(m.partition(".")[2] for m in sys.modules if m.startswith("letterlab."))
+print(json.dumps(loaded), file=sys.stderr)
 sys.exit(code)
 """
+
+
+def probe_imports(*argv) -> dict:
+    done = run_python("-c", IMPORT_PROBE, *argv)
+    assert done.returncode == 0, done.stderr
+    assert bool(done.stdout) == bool(argv)
+    return json.loads(done.stderr.splitlines()[-1])
+
+
+def probe_ids(v):
+    return " ".join(map(os.path.basename, v)) or "import" if isinstance(v, tuple) else None
 
 
 @pytest.mark.parametrize(
@@ -480,10 +495,34 @@ sys.exit(code)
         (("zipf", PLAINTEXT), False),
         (("count", PLAINTEXT), True),
     ],
-    ids=lambda v: " ".join(map(os.path.basename, v)) or "import" if isinstance(v, tuple) else None,
+    ids=probe_ids,
 )
 def test_commands_that_build_no_array_never_import_numpy(argv, loads_numpy):
-    done = run_python("-c", NUMPY_PROBE, *argv)
-    assert done.returncode == 0, done.stderr
-    assert bool(done.stdout) == bool(argv)
-    assert done.stderr.splitlines()[-1] == f"numpy loaded: {loads_numpy}"
+    assert probe_imports(*argv)["numpy"] is loads_numpy
+
+
+CLI_BASE = {"alphabet", "cli", "errors"}
+
+
+@pytest.mark.parametrize(
+    "argv, modules, loads_statistics",
+    [
+        ((), set(), False),
+        (("--version",), CLI_BASE, False),
+        (("style", "vc", PLAINTEXT), CLI_BASE | {"freq", "rng", "stylometry"}, False),
+        (("style", "compare", ANALYSIS, PLAINTEXT), CLI_BASE | {"freq", "rng", "stylometry"}, True),
+        (("markov", "test", ANALYSIS), CLI_BASE | {"freq", "markov", "rng"}, False),
+        (("zipf", PLAINTEXT), CLI_BASE | {"freq", "rng", "zipf"}, False),
+        (("count", PLAINTEXT), CLI_BASE | {"freq", "rng"}, False),
+        (("solve", "{cipher}", "--model", "{model}", "--restarts", "1"), CLI_BASE | {"cipher", "freq", "rng"}, False),
+        (("generate", "--model", "{model}", "--length", "50"), CLI_BASE | {"cipher", "freq", "markov", "rng"}, False),
+    ],
+    ids=probe_ids,
+)
+def test_commands_import_only_the_modules_they_run(capsys, tmp_path, argv, modules, loads_statistics):
+    model, cipher = str(tmp_path / "m"), tmp_path / "cipher.txt"
+    assert run_cli(capsys, "train-model", PLAINTEXT, "--out", model)[0] == 0
+    cipher.write_text("wkh txlfn eurzq ira", encoding="utf-8")
+    loaded = probe_imports(*(a.format(model=model, cipher=cipher) for a in argv))
+    assert set(loaded["letterlab"]) == modules
+    assert loaded["statistics"] is loads_statistics
