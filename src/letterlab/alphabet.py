@@ -8,8 +8,9 @@ raw text into a :class:`LetterSequence`; :func:`tokenize_words` splits
 it into maximal letter runs.
 
 Both translate through tables (lowercase, fold, keep letters) that each
-:class:`Alphabet` fills on demand and keeps. :func:`encode` turns symbols
-into their positions in an inventory, the integer array every counter uses.
+:class:`Alphabet` fills on demand and keeps. A sequence's letter codes
+(each symbol's position in the alphabet, the integer array every counter
+reads) are computed on its first count and kept, read-only, with it.
 
 Alphabets can be defined in a small line-oriented document::
 
@@ -103,6 +104,16 @@ class Alphabet:
     def __contains__(self, ch: str) -> bool:
         return ch in self._index
 
+    @functools.cached_property
+    def _lookup(self) -> np.ndarray:
+        """Read-only array from code point to letter code, built on first use."""
+        return _lookup_array(self.letters)
+
+    @functools.cached_property
+    def _pairs(self) -> tuple[tuple[str, str], ...]:
+        """Every ordered letter pair, indexed by pair code ``first * len + second``."""
+        return tuple((a, b) for a in self.letters for b in self.letters)
+
 
 @dataclass(frozen=True)
 class LetterSequence:
@@ -117,6 +128,13 @@ class LetterSequence:
 
     def __len__(self) -> int:
         return len(self.symbols)
+
+    @functools.cached_property
+    def _codes(self) -> np.ndarray:
+        """Read-only letter code of each symbol, encoded on first use."""
+        codes = self.alphabet._lookup[_code_points(self.symbols)]
+        codes.flags.writeable = False
+        return codes
 
 
 @dataclass(frozen=True)
@@ -285,13 +303,29 @@ def _check_letters(symbols: str, alphabet: Alphabet) -> None:
 
 
 def encode(symbols: str, inventory) -> np.ndarray:
-    """Position of each symbol in `inventory` (distinct characters that include every symbol)."""
+    """Position of each symbol in `inventory` (distinct characters that include every symbol), as intp."""
     import numpy as np
 
-    points = np.frombuffer("".join(inventory).encode("utf-32-le"), dtype="<u4")
-    lookup = np.zeros(int(points.max()) + 1, dtype=np.intp)
+    return _lookup_array(inventory).astype(np.intp)[_code_points(symbols)]
+
+
+def _lookup_array(inventory) -> np.ndarray:
+    """Read-only array from code point to position in `inventory`, in the
+    narrowest unsigned dtype that holds every position: widen before doing
+    arithmetic on the codes it gives."""
+    import numpy as np
+
+    points = _code_points("".join(inventory))
+    lookup = np.zeros(int(points.max()) + 1, dtype=np.min_scalar_type(len(points) - 1))
     lookup[points] = np.arange(len(points))
-    return lookup[np.frombuffer(symbols.encode("utf-32-le"), dtype="<u4")]
+    lookup.flags.writeable = False
+    return lookup
+
+
+def _code_points(symbols: str) -> np.ndarray:
+    import numpy as np
+
+    return np.frombuffer(symbols.encode("utf-32-le"), dtype="<u4")
 
 
 class _LetterTable(dict):

@@ -283,7 +283,7 @@ def score(seq: LetterSequence, model: LanguageModel) -> float:
         raise InputError("alphabet mismatch")
     if len(seq.symbols) == 0:
         raise InputError("empty sequence")
-    codes = encode(seq.symbols, seq.alphabet.letters)
+    codes = seq._codes
     return ordered_sum(model._log_probs[codes[:-1], codes[1:]].tolist())
 
 

@@ -133,23 +133,24 @@ def _tally(alphabet: Alphabet, codes: np.ndarray) -> FrequencyTable:
 
 def count_letters(seq: LetterSequence) -> FrequencyTable:
     """Count every letter of the sequence; zero-count letters stay present."""
-    return _tally(seq.alphabet, encode(seq.symbols, seq.alphabet.letters))
+    return _tally(seq.alphabet, seq._codes)
 
 
 def count_digrams(seq: LetterSequence) -> DigramTable:
     """Count overlapping adjacent pairs, keyed by first occurrence; total is max(0, len - 1)."""
     import numpy as np
 
-    letters = seq.alphabet.letters
-    size = len(letters)
-    codes = encode(seq.symbols, letters)
-    pairs = codes[:-1] * size + codes[1:]
+    size = len(seq.alphabet)
+    codes = seq._codes
+    # widened first: one-byte codes (up to 256 letters) overflow as pair codes
+    pairs = np.multiply(codes[:-1], size, dtype=np.intp) + codes[1:]
     tally = np.bincount(pairs, minlength=size * size).tolist()
     first = np.full(size * size, len(pairs))
     np.minimum.at(first, pairs, np.arange(len(pairs)))
     seen = np.flatnonzero(first < len(pairs))
     order = seen[np.argsort(first[seen])].tolist()
-    counts = {(letters[p // size], letters[p % size]): tally[p] for p in order}
+    names = seq.alphabet._pairs
+    counts = {names[p]: tally[p] for p in order}
     return DigramTable(seq.alphabet, counts, max(0, len(seq.symbols) - 1))
 
 
@@ -310,7 +311,7 @@ def stability_curve(
     the seed, so each entry is independent of the other sizes asked for.
     """
     ab = seq.alphabet
-    codes = encode(seq.symbols, ab.letters)
+    codes = seq._codes
     full = _tally(ab, codes)
     if full.total == 0:
         raise InputError("empty corpus")

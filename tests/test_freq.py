@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from collections import Counter
 from statistics import NormalDist
@@ -23,9 +25,11 @@ from letterlab import (
     positional_stats,
     proportion_ci,
     rank_order,
+    score,
     stability_curve,
     tokenize_words,
 )
+from letterlab import alphabet as alphabet_module
 from letterlab.rng import substream
 
 from conftest import read_data
@@ -95,6 +99,8 @@ def test_digram_table_messages(en, counts, total, message):
 @example("a")
 @example("abab")
 @example("zzzz")
+@example("zz")  # pair code 675, past what one byte holds
+@example("yzzy")
 def test_counts_match_counter(s):
     en = builtin_alphabet("en")
     letters = count_letters(LetterSequence(en, s))
@@ -104,6 +110,60 @@ def test_counts_match_counter(s):
     assert digrams.counts == pairs
     # first-occurrence order, which entropy_estimates sums h2 in
     assert list(digrams.counts) == list(pairs)
+
+
+def test_a_sequence_is_encoded_once(en, training_model, monkeypatch):
+    calls = []
+    code_points = alphabet_module._code_points
+
+    def counted(symbols):
+        calls.append(symbols)
+        return code_points(symbols)
+
+    monkeypatch.setattr(alphabet_module, "_code_points", counted)
+    s = seq(en, "thequickbrownfoxjumpsoverthelazydog")
+    count_letters(s)
+    codes = s._codes
+    count_digrams(s)
+    stability_curve(s, [5, 10], seed=1)
+    score(s, training_model)
+    assert s._codes is codes
+    assert calls.count(s.symbols) == 1
+
+
+def test_codes_and_lookup_are_read_only(en):
+    s = seq(en, "abc")
+    count_letters(s)
+    with pytest.raises(ValueError):
+        s._codes[0] = 1
+    with pytest.raises(ValueError):
+        en._lookup[ord("a")] = 1
+    assert s._codes.tolist() == [0, 1, 2]
+
+
+def test_codes_wider_than_one_byte():
+    # 300 letters, so codes and pair codes need more than one byte each
+    letters = tuple(chr(0x4E00 + i) for i in range(300))
+    wide = Alphabet("cjk", letters, frozenset(letters[:5]))
+    rng = random.Random(9)
+    s = "".join(rng.choice(letters[250:] + letters[:3]) for _ in range(2000))
+    sequence = LetterSequence(wide, s)
+    assert count_letters(sequence).counts == {ch: s.count(ch) for ch in letters}
+    pairs = Counter(zip(s, s[1:]))
+    digrams = count_digrams(sequence)
+    assert list(digrams.counts.items()) == list(pairs.items())
+    assert sequence._codes.max() == 299
+
+
+@pytest.mark.parametrize("protocol", [*range(pickle.HIGHEST_PROTOCOL + 1), "deepcopy"])
+def test_a_counted_sequence_counts_the_same_after_a_copy(protocol, en, training_model, analysis_corpus):
+    s = LetterSequence(en, analysis_corpus.symbols[:3000])
+    letters, digrams, scored = count_letters(s), count_digrams(s), score(s, training_model)
+    back = copy.deepcopy(s) if protocol == "deepcopy" else pickle.loads(pickle.dumps(s, protocol))
+    assert back == s and "_codes" in vars(back)  # the cached codes travel with the value
+    assert count_letters(back) == letters
+    assert list(count_digrams(back).counts.items()) == list(digrams.counts.items())
+    assert score(back, training_model).hex() == scored.hex()
 
 
 def test_digram_order_on_corpus(analysis_corpus):
