@@ -253,6 +253,8 @@ def decrypt(c: Cryptogram, key: SubstitutionKey) -> LetterSequence:
 
 def length_check(c: Cryptogram, threshold: int = LENGTH_WARNING_THRESHOLD) -> LengthWarning | None:
     """Warn when the cryptogram is shorter than `threshold` symbols."""
+    if threshold < 0:
+        raise InputError(f"length warning threshold must be at least 0, got {threshold}")
     if len(c.symbols) < threshold:
         return LengthWarning(length=len(c.symbols), threshold=threshold)
     return None
@@ -287,6 +289,14 @@ def score(seq: LetterSequence, model: LanguageModel) -> float:
     return ordered_sum(model._log_probs[codes[:-1], codes[1:]].tolist())
 
 
+def _swap_deltas(ndig: np.ndarray, logp: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Entry (i, j), i < j: the change of the full score of `a` when a[i] and a[j] swap."""
+    m = logp[a[:, None], a[None, :]]
+    s = ndig @ m.T + ndig.T @ m
+    nd, sd, md = ndig.diagonal(), s.diagonal(), m.diagonal()
+    return s + s.T - sd[:, None] - sd + (nd[:, None] + nd - ndig - ndig.T) * (md[:, None] + md - m - m.T)
+
+
 def hill_climb_solve(
     c: Cryptogram,
     model: LanguageModel,
@@ -297,21 +307,24 @@ def hill_climb_solve(
     """Recover a substitution key by best-improvement hill climbing.
 
     Restart 1 starts from the frequency-match key; later restarts start
-    from seeded random keys. Each sweep scores every pairwise swap of
-    mapping targets at once by its score change alone (Jakobsen, 1995):
-    a swap of symbols i and j moves only rows i, j and columns i, j of
-    the scored digram matrix. The full score then decides among the
-    swaps whose change is within rounding of the best one: the highest
-    full score wins, the first swap in (i, j) order among equal scores,
-    and it is accepted only if it strictly beats the current full score.
-    So a sweep picks what rescoring every swapped key in full would
-    pick, and the climb always ends. A restart ends on the first sweep
-    without an accepted swap, since a sweep is a pure function of the
-    assignment and repeating it would change nothing.
-    The best key across restarts wins, earliest restart first on ties,
-    which also guarantees the result never scores below the
-    frequency-match seed. The report keeps one :class:`RestartRecord`
-    per restart.
+    from seeded random keys. Each sweep scores every swap of the targets
+    of symbols i < j at once by its score change alone (Jakobsen, 1995),
+    from two matrix products: with N the cipher digram counts, M =
+    logp[a][:, a] for the assignment a and S = N·Mᵀ + Nᵀ·M, it is
+    S[i,j] + S[j,i] - S[i,i] - S[j,j] + E[i,j]·D[i,j], where the last term
+    corrects the 2x2 block where the moved rows and columns meet, with
+    E[i,j] = N[i,i] + N[j,j] - N[i,j] - N[j,i] and D[i,j] the same in M.
+    The full score then decides among the swaps whose change is within
+    `slack` of the best one: the highest full score wins, the first swap
+    in (i, j) order among equal scores, and it is accepted only if it
+    strictly beats the current full score. So a sweep picks what
+    rescoring every swapped key in full would pick; the BLAS build's
+    rounding of a change, far below `slack`, cannot alter a pick, key or
+    record. A restart ends on the first sweep without an accepted swap,
+    since a sweep is a pure function of the assignment, so the climb
+    always ends. The best key across restarts wins, earliest restart
+    first on ties, so the result never scores below the frequency-match
+    seed. The report keeps one :class:`RestartRecord` per restart.
     """
     import numpy as np
 
@@ -323,6 +336,7 @@ def hill_climb_solve(
         raise InputError(f"at most {MAX_RESTARTS} restarts, got {restarts}")
     if c.alphabet != model.alphabet:
         raise InputError("alphabet mismatch")
+    warning = length_check(c, warning_threshold)
 
     size = len(c.symbol_set)
     logp = model._log_probs
@@ -335,14 +349,8 @@ def hill_climb_solve(
         model.alphabet.index(letter) for letter in rank_order(model.unigram)
     ]
 
-    # row k of `swapped` is the identity with the k-th pair (i < j) exchanged
+    # the k-th swap exchanges the targets of symbols first[k] < second[k]
     first, second = np.triu_indices(size, 1)
-    swapped = np.tile(np.arange(size), (len(first), 1))
-    swapped[np.arange(len(first)), first] = second
-    swapped[np.arange(len(first)), second] = first
-    # the digram counts that the k-th swap moves from row (column) i to j
-    drow = ndig[second] - ndig[first]
-    dcol = ndig[:, second].T - ndig[:, first].T
     # far above the rounding error of a delta plus that of two full scores:
     # a swap whose delta is this far below the best cannot score best in full
     slack = 1e-9 * ndig.sum() * np.abs(logp).max()
@@ -351,10 +359,7 @@ def hill_climb_solve(
     def full_score(a: np.ndarray) -> float:
         return (ndig * logp[a[:, None], a[None, :]]).sum()
 
-    best_assignment: np.ndarray | None = None
-    best_score_val = -math.inf
-    records = []
-
+    finals, records = [], []
     for r in range(1, restarts + 1):
         if r == 1:
             assignment = matched
@@ -365,24 +370,22 @@ def hill_climb_solve(
         start = current = full_score(assignment)
         swaps = 0
         while True:
-            m = logp[assignment[:, None], assignment[None, :]]
-            delta = (drow * np.take_along_axis(m[first] - m[second], swapped, 1)).sum(1) + (
-                dcol * (m[:, first].T - m[:, second].T)
-            ).sum(1)
+            delta = _swap_deltas(ndig, logp, assignment)[first, second]
             # the full score decides among the near-best swaps, as it did among all
-            cands = assignment[swapped[delta >= delta.max() - slack]]
+            near = delta >= delta.max() - slack
+            ai, aj = assignment[first[near, None]], assignment[second[near, None]]
+            cands = np.where(assignment == ai, aj, np.where(assignment == aj, ai, assignment))
             scores = [full_score(cand) for cand in cands]
-            k = int(np.argmax(scores))
+            k = scores.index(max(scores))
             if not scores[k] > current:
                 break
             assignment, current, swaps = cands[k], scores[k], swaps + 1
+        finals.append(assignment)
         records.append(RestartRecord(float(start), float(current), swaps))
-        if current > best_score_val:
-            best_score_val = current
-            best_assignment = assignment
 
+    best = max(range(restarts), key=lambda i: records[i].final_score)  # max() keeps the earliest of ties
     letters = model.alphabet.letters
-    mapping = {letters[best_assignment[s]]: c.symbol_set[s] for s in range(size)}
+    mapping = {letters[t]: s for t, s in zip(finals[best], c.symbol_set)}
     best_key = SubstitutionKey(model.alphabet, mapping)
     plaintext = decrypt(c, best_key)
     return SolverReport(
@@ -390,6 +393,6 @@ def hill_climb_solve(
         best_score=score(plaintext, model),
         plaintext=plaintext,
         restarts_run=restarts,
-        length_warning=length_check(c, warning_threshold),
+        length_warning=warning,
         restarts=tuple(records),
     )

@@ -32,6 +32,7 @@ from letterlab import (
     score,
 )
 from letterlab.alphabet import encode
+from letterlab.cipher import _swap_deltas
 from letterlab.rng import substream
 
 ABC = Alphabet(name="abc", letters=("a", "b", "c"), vowels=frozenset("a"))
@@ -297,6 +298,10 @@ def test_length_check_thresholds(en):
     assert length_check(exact) is None
     assert length_check(empty) is not None
     assert length_check(exact, threshold=91) is not None
+    # 0 is a threshold no cryptogram falls below; a negative one is an error
+    assert length_check(empty, threshold=0) is None
+    with pytest.raises(InputError, match="^length warning threshold must be at least 0, got -3$"):
+        length_check(exact, threshold=-3)
 
 
 def test_solver_on_plaintext_returns_plaintext(en, analysis_corpus):
@@ -454,6 +459,92 @@ def test_solver_keeps_one_record_per_restart(en, training_model, solver_plaintex
     assert hill_climb_solve(c, training_model, restarts=winner, seed=4).best_key == report.best_key
     # the records trace the search; they take no part in equality
     assert dataclasses.replace(report, restarts=()) == report
+
+
+# hill_climb_solve(restarts=4, seed=19) on the first `length` letters of the
+# solver plaintext, under the key random.Random(length) shuffles: the key, the
+# best score and each restart's (start_score, final_score, swaps), every
+# float as its hex, so a change in the last bit of a record shows here
+SOLVER_PINS = [
+    (120, "xtwzrhsvigykoaejbpflmnuqcd", "-0x1.4a90b41e8bb16p+8", (
+        ("-0x1.b25881880136bp+8", "-0x1.60a0cfefbdb12p+8", 9),
+        ("-0x1.30f295de5fe96p+9", "-0x1.52c8ddbc38a18p+8", 24),
+        ("-0x1.2dd48a02486dap+9", "-0x1.4d3594e961a31p+8", 16),
+        ("-0x1.3ccc4c18aeb2bp+9", "-0x1.4a90b41e8bb18p+8", 17),
+    )),
+    (400, "falbemquytwgkdhzxvnopscirj", "-0x1.fef7ffeb16cdap+9", (
+        ("-0x1.4d2174af6d646p+10", "-0x1.285b43802e184p+10", 10),
+        ("-0x1.f651d0994809ap+10", "-0x1.2c592e72c368ap+10", 17),
+        ("-0x1.d118e0e1fe45ep+10", "-0x1.32d4508591d31p+10", 22),
+        ("-0x1.11adf20420041p+11", "-0x1.fef7ffeb16cdcp+9", 39),
+    )),
+    (2000, "qncyuzjxhldarwvktgmesfipbo", "-0x1.44062078d7e31p+12", (
+        ("-0x1.a18ad227f3ddap+12", "-0x1.44062078d7e32p+12", 13),
+        ("-0x1.2dc213d98b1bcp+13", "-0x1.881bbe027a9dcp+12", 23),
+        ("-0x1.2a7ee74f9c200p+13", "-0x1.44062078d7e32p+12", 26),
+        ("-0x1.50be56ecd302ep+13", "-0x1.44062078d7e32p+12", 24),
+    )),
+]
+
+
+@pytest.mark.parametrize("length, key, best, records", SOLVER_PINS, ids=[f"len{p[0]}" for p in SOLVER_PINS])
+def test_solver_results_are_pinned_to_the_bit(en, training_model, solver_plaintext, length, key, best, records):
+    targets = list(en.letters)
+    random.Random(length).shuffle(targets)
+    c = encrypt(LetterSequence(en, solver_plaintext.symbols[:length]), en_key(en, "".join(targets)))
+    report = hill_climb_solve(c, training_model, restarts=4, seed=19)
+    assert report.best_key.target_string() == key
+    assert report.best_score.hex() == best
+    assert tuple((r.start_score.hex(), r.final_score.hex(), r.swaps) for r in report.restarts) == records
+
+
+@st.composite
+def swap_cases(draw):
+    """Digram counts, log-probabilities and an assignment of one size, from a
+    seeded generator: doubled letters put counts on the diagonal, and a
+    letter that never leads a digram leaves its row all zero."""
+    size, seed = draw(st.integers(2, 30)), draw(st.integers(0, 2**64 - 1))
+    doubled, empty_rows = draw(st.booleans()), draw(st.booleans())
+    rng = np.random.default_rng(seed)
+    ndig = rng.integers(0, rng.choice([2, 10, 1000]), (size, size)).astype(float)
+    if doubled:
+        np.fill_diagonal(ndig, rng.integers(1, 50, size))
+    if empty_rows:
+        ndig[rng.random(size) < 0.3] = 0.0
+    p = rng.random((size, size)) ** 3 + 1e-12
+    return ndig, np.log(p / p.sum(1, keepdims=True)), rng.permutation(size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(swap_cases())
+def test_swap_deltas_match_a_full_rescore(case):
+    ndig, logp, a = case
+    size = len(a)
+
+    def full_score(b):
+        return math.fsum((ndig * logp[np.ix_(b, b)]).ravel().tolist())
+
+    deltas = _swap_deltas(ndig, logp, a)
+    # the solver's slack, which must stay far above a delta's rounding error
+    slack = 1e-9 * ndig.sum() * np.abs(logp).max()
+    base = full_score(a)
+    for i in range(size - 1):
+        for j in range(i + 1, size):
+            b = a.copy()
+            b[[i, j]] = a[[j, i]]
+            assert abs(deltas[i, j] - (full_score(b) - base)) <= 1e-6 * slack
+
+
+def test_solver_rejects_a_negative_length_threshold_before_any_restart(monkeypatch, en, training_model):
+    c = parse_cryptogram("wkh txlfn eurzq ira mxpsv ryhu wkh odcb grj", en)
+    assert hill_climb_solve(c, training_model, restarts=1, warning_threshold=0).length_warning is None
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solve started before the threshold check")
+
+    monkeypatch.setattr(LanguageModel, "_log_probs", property(refuse))
+    with pytest.raises(InputError, match="^length warning threshold must be at least 0, got -3$"):
+        hill_climb_solve(c, training_model, restarts=50, warning_threshold=-3)
 
 
 def test_solver_empty_cryptogram_errors(en, training_model):

@@ -346,8 +346,12 @@ def refuse(*args, **kwargs):
         (["generate", "--vc-corpus", ANALYSIS, "--length", "99999999999999999999"], "length must be at most 10000000"),
         (["generate", "--model", "{model}", "--length", "10000001"], "length must be at most 10000000"),
         (["solve", "--model", "{model}", "--restarts", "10001", "{cipher}"], "at most 10000 restarts"),
+        (
+            ["solve", "--model", "{model}", "--length-threshold", "-3", "{cipher}"],
+            "length warning threshold must be at least 0, got -3\n",
+        ),
     ],
-    ids=["generate-vc", "generate-model", "solve"],
+    ids=["generate-vc", "generate-model", "solve", "solve-negative-threshold"],
 )
 def test_sizes_above_their_bound_are_data_errors(capsys, monkeypatch, tmp_path, argv, message):
     import letterlab.cipher
