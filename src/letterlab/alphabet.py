@@ -29,8 +29,6 @@ so fold sources must be lowercase. Builtin names ("en", "en-y-vowel",
 from __future__ import annotations
 
 import functools
-import types
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .errors import InputError
@@ -46,18 +44,15 @@ class Alphabet:
 
     Invariants checked at construction: letters are distinct single
     characters; vowels form a nonempty strict subset of letters; every
-    fold source is lowercase, and its target a letter or None (discard).
-    `folds` is read-only, so the state derived here never goes stale.
+    fold source is lowercase and given once, and its target a letter or
+    None (discard). `folds` is given as a mapping or as (source, target)
+    pairs and kept as those pairs sorted by source: a hashable value.
     """
 
     name: str
     letters: tuple[str, ...]
     vowels: frozenset[str]
-    folds: Mapping[str, str | None] = field(default_factory=dict)
-    separator: str = field(init=False, repr=False, compare=False)  # lowest code point that is no letter
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
-    _keep: _LetterTable = field(init=False, repr=False, compare=False)
-    _split: _LetterTable = field(init=False, repr=False, compare=False)
+    folds: tuple[tuple[str, str | None], ...] = ()
 
     def __post_init__(self):
         if not self.letters:
@@ -75,21 +70,19 @@ class Alphabet:
             raise InputError(f"alphabet {self.name!r}: vowels not in letters: {bad}")
         if self.vowels == index.keys():
             raise InputError(f"alphabet {self.name!r}: vowels must be a strict subset of letters")
-        for src, dst in self.folds.items():
+        folds = dict(self.folds)
+        if len(folds) != len(self.folds):
+            raise InputError(f"alphabet {self.name!r}: a fold source is given twice")
+        for src, dst in folds.items():
             if src.lower() != src:
                 raise InputError(f"alphabet {self.name!r}: fold source {src!r} is not lowercase")
             if dst is not None and dst not in index:
                 raise InputError(f"alphabet {self.name!r}: fold target {dst!r} not a letter")
-        folds = types.MappingProxyType(dict(self.folds))
-        # one of the first len + 1 code points is no letter
+        # separator: the lowest code point that is no letter, one of the first len + 1
         gap = min(set(map(chr, range(len(index) + 1))).difference(index))
         keep, split = _LetterTable(folds, index), _LetterTable(folds, index, gap)
-        # frozen, so the derived fields go straight into __dict__
-        self.__dict__.update(folds=folds, separator=gap, _index=index, _keep=keep, _split=split)
-
-    def __reduce__(self):
-        # a mapping proxy cannot be pickled, so rebuild from the init fields
-        return type(self), (self.name, self.letters, self.vowels, dict(self.folds))
+        # frozen, so the sorted folds and the derived state go straight into __dict__
+        self.__dict__.update(folds=tuple(sorted(folds.items())), separator=gap, _index=index, _keep=keep, _split=split)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -333,7 +326,7 @@ class _LetterTable(dict):
     (``İ`` gives two characters) and folded, and kept if it is then a
     letter; any other character becomes `discard` (None deletes it)."""
 
-    def __init__(self, folds: Mapping[str, str | None], letters: dict[str, int], discard: str | None = None):
+    def __init__(self, folds: dict[str, str | None], letters: dict[str, int], discard: str | None = None):
         self.folds, self.letters, self.discard = folds, letters, discard
 
     def __missing__(self, code: int) -> str | None:

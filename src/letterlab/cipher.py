@@ -180,8 +180,8 @@ def _model_table(path: str, kind: str, header: list[str], alphabet: Alphabet) ->
             if key in counts:
                 what = "letter" if len(key) == 1 else "pair"
                 raise InputError(f"{where}: repeated {what} {''.join(key)!r}")
-            # plain digits, below 10**18: every sum of counts then converts to a float
-            if not (count.isdecimal() and len(count) <= 18):
+            # plain ASCII digits, below 10**18: every sum of counts then converts to a float
+            if not (count.isascii() and count.isdecimal() and len(count) <= 18):
                 raise InputError(f"{where}: bad count {count!r}")
             counts[key] = int(count)
     except csv.Error as e:  # from the reader: a cell over its size limit, or NUL before Python 3.11

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import gc
 import pickle
 import weakref
@@ -9,13 +11,19 @@ from letterlab import (
     Alphabet,
     AlphabetSpecError,
     InputError,
+    LanguageModel,
     LetterSequence,
+    SubstitutionKey,
     WordSequence,
     builtin_alphabet,
     builtin_names,
+    count_digrams,
     count_letters,
+    encrypt,
+    hill_climb_solve,
     load_alphabet,
     normalize,
+    positional_stats,
     tokenize_words,
 )
 
@@ -37,7 +45,7 @@ def test_all_builtins_satisfy_invariants():
         ab = builtin_alphabet(name)
         assert len(set(ab.letters)) == len(ab.letters)
         assert ab.vowels < set(ab.letters)
-        for dst in ab.folds.values():
+        for dst in dict(ab.folds).values():
             assert dst is None or dst in set(ab.letters)
 
 
@@ -51,7 +59,7 @@ def test_folds_are_read_only():
     with pytest.raises(TypeError):
         fr.folds["q"] = None
     assert normalize("quoi", builtin_alphabet("fr")).symbols == "quoi"
-    assert builtin_alphabet("la").folds == {"j": "i", "v": "u"}
+    assert builtin_alphabet("la").folds == (("j", "i"), ("v", "u"))
 
 
 def test_alphabet_keeps_its_own_copy_of_the_folds():
@@ -59,7 +67,7 @@ def test_alphabet_keeps_its_own_copy_of_the_folds():
     ab = Alphabet(name="t", letters=tuple("abe"), vowels=frozenset("ae"), folds=folds)
     folds["a"] = None
     assert normalize("é a", ab).symbols == "ea"
-    assert ab.folds == {"é": "e"}
+    assert dict(ab.folds) == {"é": "e"}
 
 
 def test_fold_sources_must_be_lowercase():
@@ -70,8 +78,66 @@ def test_fold_sources_must_be_lowercase():
         Alphabet(name="t", letters=tuple("abi"), vowels=frozenset("ai"), folds={"İ": "i"})
     # a spec document lowercases its sources, so the same rule there folds
     ab = load_alphabet("name: t\nletters: abe\nvowels: ae\nfold: É > e\n")
-    assert ab.folds == {"é": "e"}
+    assert dict(ab.folds) == {"é": "e"}
     assert normalize("É é", ab).symbols == "ee"
+
+
+def test_fold_sources_must_be_given_once():
+    # a mapping cannot repeat a source, but pairs can, and dict() would keep the last
+    with pytest.raises(InputError, match="a fold source is given twice"):
+        Alphabet(name="t", letters=tuple("abe"), vowels=frozenset("ae"), folds=(("é", "e"), ("é", "a")))
+    with pytest.raises(InputError, match="a fold source is given twice"):
+        Alphabet(name="t", letters=tuple("abe"), vowels=frozenset("ae"), folds=(("é", "e"), ("é", "e")))
+
+
+def test_folds_are_pairs_sorted_by_source_whatever_the_order_given():
+    letters, vowels = tuple("abe"), frozenset("ae")
+    ab = Alphabet(name="t", letters=letters, vowels=vowels, folds={"é": "e", "'": None, "à": "a"})
+    back = Alphabet(name="t", letters=letters, vowels=vowels, folds={"à": "a", "é": "e", "'": None})
+    pairs = Alphabet(name="t", letters=letters, vowels=vowels, folds=[("é", "e"), ("à", "a"), ("'", None)])
+    assert ab.folds == (("'", None), ("à", "a"), ("é", "e"))
+    assert ab == back == pairs
+    assert hash(ab) == hash(back) == hash(pairs)
+    assert len({ab, back, pairs}) == 1
+    assert ab != Alphabet(name="t", letters=letters, vowels=vowels, folds={"é": "e"})
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_an_alphabet_is_a_plain_value(name):
+    ab = builtin_alphabet(name)
+    assert [f.name for f in dataclasses.fields(ab)] == ["name", "letters", "vowels", "folds"]
+    for other in (copy.deepcopy(ab), dataclasses.replace(ab)):
+        assert other == ab and hash(other) == hash(ab)
+        assert normalize("Où est l'été, Iulius ?", other) == normalize("Où est l'été, Iulius ?", ab)
+    assert dataclasses.asdict(ab) == {"name": ab.name, "letters": ab.letters, "vowels": ab.vowels, "folds": ab.folds}
+
+
+def alphabets_in(tree):
+    """Every dict in `tree` (nested dicts, lists and tuples) that has an alphabet's fields."""
+    if isinstance(tree, dict):
+        found = [tree] if tree.keys() == {"name", "letters", "vowels", "folds"} else []
+        return found + [ab for v in tree.values() for ab in alphabets_in(v)]
+    if isinstance(tree, (list, tuple)):
+        return [ab for v in tree for ab in alphabets_in(v)]
+    return []
+
+
+def test_asdict_works_on_every_value_that_carries_an_alphabet():
+    en = builtin_alphabet("en")
+    seq = normalize("The quick brown fox jumps over the lazy dog, and the dog sleeps.", en)
+    words = tokenize_words("The quick brown fox", en)
+    key = SubstitutionKey.from_target_string(en, "qwertyuiopasdfghjklzxcvbnm")
+    model = LanguageModel.train(seq)
+    report = hill_climb_solve(encrypt(seq, key), model, restarts=2, seed=1)
+    values = [count_letters(seq), count_digrams(seq), seq, words, positional_stats(words), encrypt(seq, key)]
+    values += [key, model, report]
+    assert sorted(type(v).__name__ for v in values) == sorted(
+        "FrequencyTable DigramTable LetterSequence WordSequence PositionalStats "
+        "Cryptogram SubstitutionKey LanguageModel SolverReport".split()
+    )
+    for value in values:
+        found = alphabets_in(dataclasses.asdict(value))
+        assert found and all(ab == dataclasses.asdict(en) for ab in found), type(value).__name__
 
 
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
@@ -81,6 +147,8 @@ def test_values_carrying_an_alphabet_pickle(protocol):
     back = pickle.loads(pickle.dumps(seq, protocol))
     assert back == seq and back.source == seq.source
     assert back.alphabet.folds == fr.folds
+    assert hash(back.alphabet) == hash(fr)
+    assert hash(pickle.loads(pickle.dumps(fr, protocol))) == hash(fr)
     assert normalize("Où est l'été ?", back.alphabet) == seq
     words = tokenize_words("Où est l'été ?", fr)
     assert pickle.loads(pickle.dumps(words, protocol)) == words
@@ -303,7 +371,7 @@ def reference_letters(raw, ab):
     out = []
     for ch in raw:
         low = ch.lower()
-        low = ab.folds.get(low, low)
+        low = dict(ab.folds).get(low, low)
         out.append(low if low is not None and low in ab else None)
     return out
 

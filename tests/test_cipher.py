@@ -648,6 +648,9 @@ def test_model_load_rejects_repeated_rows(tmp_path, en, unigram, digram, message
         (b"letter,count\na,-4\n", b"first,second,count\n", "unigram file line 2: bad count '-4'"),
         (b"letter,count\n", b"first,second,count\na,b,+1\n", "digram file line 2: bad count '+1'"),
         (b"letter,count\n", b"first,second,count\na,b,%d\n" % 10**18, f"digram file line 2: bad count '{10**18}'"),
+        # digits other than ASCII ones, Arabic-Indic and fullwidth, are not read as numbers
+        ("letter,count\na,١٢\n".encode(), b"first,second,count\n", "unigram file line 2: bad count '١٢'"),
+        (b"letter,count\n", "first,second,count\na,b,１\n".encode(), "digram file line 2: bad count '１'"),
         (b"letter,count\na,3\nb,1\na,2\n", b"first,second,count\n", "unigram file line 4: repeated letter 'a'"),
         (b"letter,count\n", b"first,second,count\na,b,1\na,b,1\n", "digram file line 3: repeated pair 'ab'"),
         (
@@ -710,6 +713,8 @@ def test_model_load_rejects_repeated_rows(tmp_path, en, unigram, digram, message
         "negative-count",
         "signed-count",
         "huge-count",
+        "arabic-indic-count",
+        "fullwidth-count",
         "repeated-letter",
         "repeated-pair",
         "undecodable",

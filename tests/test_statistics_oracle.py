@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -14,6 +15,7 @@ from letterlab import (
     TransitionCounts,
     VCProfile,
     builtin_alphabet,
+    compare_tables,
     entropy_estimates,
     fit_power_law,
     independence_test,
@@ -121,3 +123,61 @@ def test_fit_power_law(values, min_count):
     assert math.isclose(fit.intercept, oracle.intercept, rel_tol=tol, abs_tol=tol * abs(oracle.slope) * xs[-1])
     assert math.isclose(fit.r_squared, oracle.rvalue**2, rel_tol=tol)
     assert fit.points_used == len(used)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(LETTER, COUNT, min_size=1).filter(lambda d: any(d.values())),
+    st.dictionaries(LETTER, COUNT, min_size=1).filter(lambda d: any(d.values())),
+)
+@example({"a": 5}, {"a": 7})  # one nonempty column: chi-square 0, one tied rank each
+@example({"a": 10**6, "b": 999_999}, {"a": 2 * 10**6 - 2, "b": 1_999_998})  # rows nearly proportional
+@example({ch: 1 for ch in "abcdefghijklmnopqrstuvwxyz"}, {"e": 3, "t": 1})  # a constant row
+def test_compare_tables(a, b):
+    ta, tb = FrequencyTable.from_counts(EN, a), FrequencyTable.from_counts(EN, b)
+    d = compare_tables(ta, tb)
+    row_a, row_b = [ta.counts[ch] for ch in EN.letters], [tb.counts[ch] for ch in EN.letters]
+    # chi-square: the uncorrected homogeneity statistic of the 2 x k table of
+    # nonempty columns (chi2_contingency rejects an expected count of 0). Each
+    # expected count carries a relative error of a few ulps, which moves the
+    # statistic by about 2 eps sum|o - e| <= 2 eps sqrt(chi N) (Cauchy-Schwarz,
+    # N the grand total); 1e-12 times that, plus 1e-12 relative, is over 1,000
+    # times the largest error seen in 50,000 random tables
+    columns = [(x, y) for x, y in zip(row_a, row_b) if x + y]
+    oracle = stats.chi2_contingency([[x for x, _ in columns], [y for _, y in columns]], correction=False).statistic
+    scale = math.sqrt(max(d.chi_square, oracle) * (ta.total + tb.total))
+    assert math.isclose(d.chi_square, oracle, rel_tol=1e-12, abs_tol=1e-12 * scale)
+    # Spearman's rho is undefined for a constant row. Ranks are multiples of
+    # 1/2 and their mean 13.5, so the centred sums are exact and only the
+    # final division and square root round: 1e-12 is far above that
+    if len(set(row_a)) > 1 and len(set(row_b)) > 1:
+        rho = stats.spearmanr(row_a, row_b).statistic
+        assert math.isclose(d.rank_correlation, rho, rel_tol=1e-12, abs_tol=1e-12)
+    # total variation against the exact rational value: 26 proportions, each
+    # rounded once, and a left-to-right sum of 26 terms whose sum is at most
+    # 2 stay under 30 eps, about 7e-15
+    exact = sum(abs(Fraction(x, ta.total) - Fraction(y, tb.total)) for x, y in zip(row_a, row_b)) / 2
+    assert abs(Fraction(d.total_variation) - exact) < 1e-14
+
+
+@settings(max_examples=300, deadline=None)
+@given(COUNT, COUNT, COUNT, COUNT)
+@example(965_571, 0, 0, 1)  # pooled share 1 - 1e-6: 1 - pooled cancels
+@example(1_000_000, 999_999, 3_000_000, 2_999_998)  # p1 - p2 cancels
+@example(3, 3, 5, 5)  # equal shares: z is 0
+def test_two_sample_proportion_z_squared_is_the_uncorrected_chi_square(v1, c1, v2, c2):
+    # a pooled two-proportion z-test is the 2 x 2 homogeneity test: z**2 = chi-square
+    assume(v1 + c1 and v2 + c2 and v1 + v2 and c1 + c2)
+    z, _ = two_sample_proportion_test(VCProfile(v1, c1), VCProfile(v2, c2))
+    oracle = stats.chi2_contingency([[v1, c1], [v2, c2]], correction=False).statistic
+    # z is (p1 - p2) / se. p1 - p2 is off by up to about eps, which moves z**2
+    # by 2 |z| eps / se; 1 - pooled is off by eps / (1 - pooled) relatively,
+    # and likewise pooled, so z**2 is off by up to eps N / min(v1 + v2, c1 + c2)
+    # relatively. The oracle's o - e is off by about eps e in each cell, which
+    # moves it by about 2 |z| eps sqrt(N). 1e-12 times these is over 1,000
+    # times the largest error seen in 200,000 random tables.
+    n1, n2 = v1 + c1, v2 + c2
+    pooled = (v1 + v2) / (n1 + n2)
+    se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2))
+    rel_tol = 1e-12 * (n1 + n2) / min(v1 + v2, c1 + c2)
+    assert math.isclose(z * z, oracle, rel_tol=rel_tol, abs_tol=1e-12 * abs(z) * (1 / se + math.sqrt(n1 + n2)))
