@@ -10,7 +10,9 @@ it into maximal letter runs.
 Both translate through tables (lowercase, fold, keep letters) that each
 :class:`Alphabet` fills on demand and keeps. A sequence's letter codes
 (each symbol's position in the alphabet, the integer array every counter
-reads) are computed on its first count and kept, read-only, with it.
+reads) are computed on its first count and kept, read-only, with it. They
+are the one encoded form of text: the solver reads a cryptogram as the
+letter sequence in which letter i stands in for its i-th symbol.
 
 Alphabets can be defined in a small line-oriented document::
 
@@ -44,9 +46,10 @@ class Alphabet:
 
     Invariants checked at construction: letters are distinct single
     characters; vowels form a nonempty strict subset of letters; every
-    fold source is lowercase and given once, and its target a letter or
-    None (discard). `folds` is given as a mapping or as (source, target)
-    pairs and kept as those pairs sorted by source: a hashable value.
+    fold source is one lowercase character given once, and its target a
+    letter or None (discard). `folds` is given as a mapping or as
+    (source, target) pairs and kept as those pairs sorted by source: a
+    hashable value.
     """
 
     name: str
@@ -70,10 +73,15 @@ class Alphabet:
             raise InputError(f"alphabet {self.name!r}: vowels not in letters: {bad}")
         if self.vowels == index.keys():
             raise InputError(f"alphabet {self.name!r}: vowels must be a strict subset of letters")
-        folds = dict(self.folds)
+        try:
+            folds = dict(self.folds)
+        except (TypeError, ValueError):
+            raise InputError(f"alphabet {self.name!r}: folds must be (source, target) pairs") from None
         if len(folds) != len(self.folds):
             raise InputError(f"alphabet {self.name!r}: a fold source is given twice")
         for src, dst in folds.items():
+            if len(src) != 1:
+                raise InputError(f"alphabet {self.name!r}: fold source {src!r} is not one character")
             if src.lower() != src:
                 raise InputError(f"alphabet {self.name!r}: fold source {src!r} is not lowercase")
             if dst is not None and dst not in index:
@@ -293,13 +301,6 @@ def _check_letters(symbols: str, alphabet: Alphabet) -> None:
     ch = first_foreign(symbols, alphabet.letters)
     if ch is not None:
         raise InputError(f"symbol {ch!r} not in alphabet {alphabet.name!r}")
-
-
-def encode(symbols: str, inventory) -> np.ndarray:
-    """Position of each symbol in `inventory` (distinct characters that include every symbol), as intp."""
-    import numpy as np
-
-    return _lookup_array(inventory).astype(np.intp)[_code_points(symbols)]
 
 
 def _lookup_array(inventory) -> np.ndarray:

@@ -20,7 +20,7 @@ import io
 import math
 from dataclasses import dataclass, field
 
-from .alphabet import Alphabet, LetterSequence, encode, first_foreign
+from .alphabet import Alphabet, LetterSequence, first_foreign
 from .errors import InputError, read_text
 from .freq import DigramTable, FrequencyTable, count_digrams, count_letters, ordered_sum, rank_order
 from .rng import substream
@@ -75,6 +75,8 @@ class Cryptogram:
             raise InputError("symbol inventory must match the alphabet size")
         if len(set(self.symbol_set)) != len(self.symbol_set):
             raise InputError("symbol inventory must be distinct")
+        if any(len(s) != 1 for s in self.symbol_set):
+            raise InputError("cipher symbols must be single characters")
         ch = first_foreign(self.symbols, self.symbol_set)
         if ch is not None:
             raise InputError(f"cryptogram symbol {ch!r} outside the expected inventory")
@@ -306,7 +308,9 @@ def hill_climb_solve(
 ) -> SolverReport:
     """Recover a substitution key by best-improvement hill climbing.
 
-    Restart 1 starts from the frequency-match key; later restarts start
+    Restart 1 starts from :func:`frequency_match_key` of the cryptogram
+    read as a letter sequence, letter i standing in for symbol i of the
+    inventory (so ties go in inventory order); later restarts start
     from seeded random keys. Each sweep scores every swap of the targets
     of symbols i < j at once by its score change alone (Jakobsen, 1995),
     from two matrix products: with N the cipher digram counts, M =
@@ -338,16 +342,13 @@ def hill_climb_solve(
         raise InputError("alphabet mismatch")
     warning = length_check(c, warning_threshold)
 
-    size = len(c.symbol_set)
+    ab, size = c.alphabet, len(c.symbol_set)
     logp = model._log_probs
-    codes = encode(c.symbols, c.symbol_set)
-    ndig = np.bincount(codes[:-1] * size + codes[1:], minlength=size * size).reshape(size, size).astype(float)
-    # frequency match as `matched[symbol index] = letter index`: symbols by
-    # decreasing count, ties in inventory order, take the letters by rank
-    matched = np.empty(size, dtype=np.intp)
-    matched[np.argsort(-np.bincount(codes, minlength=size), kind="stable")] = [
-        model.alphabet.index(letter) for letter in rank_order(model.unigram)
-    ]
+    stand_in = LetterSequence(ab, c.symbols.translate(str.maketrans("".join(c.symbol_set), "".join(ab.letters))))
+    pairs = np.multiply(stand_in._codes[:-1], size, dtype=np.intp) + stand_in._codes[1:]
+    ndig = np.bincount(pairs, minlength=size * size).reshape(size, size).astype(float)
+    inverse = frequency_match_key(count_letters(stand_in), model.unigram).inverse()
+    matched = np.array([ab.index(inverse[letter]) for letter in ab.letters], dtype=np.intp)
 
     # the k-th swap exchanges the targets of symbols first[k] < second[k]
     first, second = np.triu_indices(size, 1)
@@ -384,9 +385,8 @@ def hill_climb_solve(
         records.append(RestartRecord(float(start), float(current), swaps))
 
     best = max(range(restarts), key=lambda i: records[i].final_score)  # max() keeps the earliest of ties
-    letters = model.alphabet.letters
-    mapping = {letters[t]: s for t, s in zip(finals[best], c.symbol_set)}
-    best_key = SubstitutionKey(model.alphabet, mapping)
+    mapping = {ab.letters[t]: s for t, s in zip(finals[best], c.symbol_set)}
+    best_key = SubstitutionKey(ab, mapping)
     plaintext = decrypt(c, best_key)
     return SolverReport(
         best_key=best_key,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .alphabet import Alphabet, LetterSequence, WordSequence, encode
+from .alphabet import Alphabet, LetterSequence, WordSequence, _code_points, _lookup_array
 from .errors import InputError
 from .rng import substream
 
@@ -285,7 +285,7 @@ def positional_stats(words: WordSequence) -> PositionalStats:
     ab = words.alphabet
     # every word between two single separators, whose code is len(ab), so
     # equal neighbours are always two letters of one word
-    codes = encode(ab.separator.join(("", *words.words, "")), (*ab.letters, ab.separator))
+    codes = _lookup_array((*ab.letters, ab.separator))[_code_points(ab.separator.join(("", *words.words, "")))]
     gaps = np.flatnonzero(codes == len(ab))
     starts, ends = gaps[:-1] + 1, gaps[1:] - 1
     long = starts < ends

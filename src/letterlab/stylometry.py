@@ -126,8 +126,6 @@ def two_sample_proportion_test(a: VCProfile, b: VCProfile) -> tuple[float, float
     Returns (z, two-sided p). Antisymmetric in its arguments: swapping
     them negates z and keeps p.
     """
-    from statistics import NormalDist
-
     if a.total == 0 or b.total == 0:
         raise InputError("empty profile")
     n1, n2 = a.total, b.total
@@ -137,8 +135,8 @@ def two_sample_proportion_test(a: VCProfile, b: VCProfile) -> tuple[float, float
     pooled = (a.vowel_count + b.vowel_count) / (n1 + n2)
     se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2))
     z = (p1 - p2) / se
-    p = 2.0 * NormalDist().cdf(-abs(z))
-    return z, p
+    # erfc keeps its digits in the tail, where 1 + erf cancels
+    return z, math.erfc(abs(z) / math.sqrt(2.0))
 
 
 def compass_of_variation(profiles: list[VCProfile]) -> VariationSummary:

@@ -90,6 +90,19 @@ def test_fold_sources_must_be_given_once():
         Alphabet(name="t", letters=tuple("abe"), vowels=frozenset("ae"), folds=(("é", "e"), ("é", "e")))
 
 
+def test_fold_sources_are_one_character():
+    # translation is per character, so a longer or empty source could never fold
+    for src in ("xy", ""):
+        with pytest.raises(InputError, match=f"fold source {src!r} is not one character"):
+            Alphabet(name="t", letters=("a", "b"), vowels=frozenset("a"), folds=[(src, "a")])
+
+
+def test_folds_must_be_pairs():
+    for folds in ([("x",)], [("x", "a", "b")], [None]):
+        with pytest.raises(InputError, match=r"^alphabet 't': folds must be \(source, target\) pairs$"):
+            Alphabet(name="t", letters=("a", "b"), vowels=frozenset("a"), folds=folds)
+
+
 def test_folds_are_pairs_sorted_by_source_whatever_the_order_given():
     letters, vowels = tuple("abe"), frozenset("ae")
     ab = Alphabet(name="t", letters=letters, vowels=vowels, folds={"é": "e", "'": None, "à": "a"})

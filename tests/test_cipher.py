@@ -31,7 +31,6 @@ from letterlab import (
     rank_order,
     score,
 )
-from letterlab.alphabet import encode
 from letterlab.cipher import _swap_deltas
 from letterlab.rng import substream
 
@@ -91,6 +90,13 @@ def test_foreign_cryptogram_symbol_messages_name_the_first_one(en):
     upper = Cryptogram(en, "QAZ", tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ"))
     with pytest.raises(InputError, match="cryptogram symbol 'Q' not produced by this key"):
         decrypt(upper, en_key(en, "".join(en.letters)))
+
+
+def test_cryptogram_symbols_are_single_characters(en):
+    # the solver maps the inventory onto the letters one character each
+    for bad in ("zz", ""):
+        with pytest.raises(InputError, match="^cipher symbols must be single characters$"):
+            Cryptogram(en, "bcd", (bad, *en.letters[1:]))
 
 
 def test_parse_cryptogram_ignores_whitespace_rejects_unknown(en):
@@ -349,7 +355,7 @@ def solve_reference(c, model, restarts, seed, with_score=False):
     its full score too."""
     size = len(c.symbol_set)
     logp = model._log_probs
-    codes = encode(c.symbols, c.symbol_set)
+    codes = np.array([c.symbol_set.index(ch) for ch in c.symbols])
     ndig = np.bincount(codes[:-1] * size + codes[1:], minlength=size * size).reshape(size, size).astype(float)
 
     def evaluate(a):
@@ -435,6 +441,43 @@ def test_solver_matches_double_loop_reference_random(case, seed, restarts):
     expected_key, expected_score = solve_reference(c, model, restarts, seed, with_score=True)
     assert report.best_key.target_string() == expected_key
     assert max(r.final_score for r in report.restarts) == expected_score
+
+
+def test_solver_reads_any_inventory_by_position(en, training_model, solver_plaintext):
+    # the same key into lowercase and into uppercase symbols: the inventories
+    # sort alike, so each symbol stands in for the same letter in both solves
+    targets = list(en.letters)
+    random.Random(21).shuffle(targets)
+    plain = LetterSequence(en, solver_plaintext.symbols[:300])
+    lower = hill_climb_solve(encrypt(plain, en_key(en, "".join(targets))), training_model, restarts=3, seed=6)
+    upper = hill_climb_solve(encrypt(plain, en_key(en, "".join(targets).upper())), training_model, restarts=3, seed=6)
+    assert upper.best_key.target_string() == lower.best_key.target_string().upper()
+    assert upper.plaintext == lower.plaintext
+    assert upper.best_score.hex() == lower.best_score.hex()
+    assert upper.restarts == lower.restarts
+
+
+def test_solver_on_a_300_letter_alphabet():
+    # letter codes past 255 are two bytes wide, and pair codes reach 89,999:
+    # the solver widens them before it counts digrams. The model's letter i
+    # occurs 300 - i times; the cryptogram adds three runs of the last 100
+    # letters, so its ranks tie and cross there and the climb must swap.
+    letters = tuple(chr(0x4E00 + i) for i in range(300))
+    ab = Alphabet(name="cjk", letters=letters, vowels=frozenset(letters[:60]))
+    text = "".join("".join(letters[:k]) for k in range(300, 0, -1))
+    model = LanguageModel.train(LetterSequence(ab, text))
+    targets = list(letters)
+    random.Random(300).shuffle(targets)
+    key = SubstitutionKey.from_target_string(ab, "".join(targets))
+    report = hill_climb_solve(encrypt(LetterSequence(ab, text + "".join(letters[200:]) * 3), key), model, restarts=1)
+    assert report.best_key == key
+    assert report.best_score.hex() == "-0x1.dacd89537c23cp+14"
+    (record,) = report.restarts
+    assert (record.start_score.hex(), record.final_score.hex(), record.swaps) == (
+        "-0x1.026c4f6705c0ep+15",
+        "-0x1.dacd89537c20ep+14",
+        6,
+    )
 
 
 def test_solver_keeps_one_record_per_restart(en, training_model, solver_plaintext):

@@ -514,7 +514,7 @@ CLI_BASE = {"alphabet", "cli", "errors"}
         ((), set(), False),
         (("--version",), CLI_BASE, False),
         (("style", "vc", PLAINTEXT), CLI_BASE | {"freq", "rng", "stylometry"}, False),
-        (("style", "compare", ANALYSIS, PLAINTEXT), CLI_BASE | {"freq", "rng", "stylometry"}, True),
+        (("style", "compare", ANALYSIS, PLAINTEXT), CLI_BASE | {"freq", "rng", "stylometry"}, False),
         (("markov", "test", ANALYSIS), CLI_BASE | {"freq", "markov", "rng"}, False),
         (("zipf", PLAINTEXT), CLI_BASE | {"freq", "rng", "zipf"}, False),
         (("count", PLAINTEXT), CLI_BASE | {"freq", "rng"}, False),

@@ -1,6 +1,7 @@
 """The package's hand-written statistics against scipy.stats (test-only dependency)."""
 
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -181,3 +182,68 @@ def test_two_sample_proportion_z_squared_is_the_uncorrected_chi_square(v1, c1, v
     se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2))
     rel_tol = 1e-12 * (n1 + n2) / min(v1 + v2, c1 + c2)
     assert math.isclose(z * z, oracle, rel_tol=rel_tol, abs_tol=1e-12 * abs(z) * (1 / se + math.sqrt(n1 + n2)))
+
+
+EPS = 2.0**-52
+# scipy's chi2.sf goes through the regularized upper incomplete gamma
+# function, whose documented peak relative error (Cephes igamc, shape 0.5)
+# is 1.4e-13; over 5,000 random x from 1e-6 to 316 it was at most 3.1e-14
+CHI2_SF_ERROR = 1.4e-13
+
+
+def chi_tail_rel_tol(x: float) -> float:
+    # erfc(sqrt(x / 2)): the square root rounds by up to 2**-53 relatively,
+    # which moves erfc by up to x 2**-53 relatively (d ln erfc(y) / dy is
+    # about -2y), and erfc rounds by about an ulp more; 2 (1 + x) eps covers
+    # that with over 3x margin against a 40-digit reference
+    return CHI2_SF_ERROR + 2 * (1 + x) * EPS
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2000), st.integers(0, 2000), st.integers(0, 2000), st.integers(0, 2000))
+@example(120, 120, 30, 210)  # "banana " * 40 against "strength " * 30: z 8.86, p 7.8e-19
+@example(1213, 494, 13, 1134)  # z 36.9996, p 1.2e-299
+def test_two_sample_proportion_p_value_keeps_its_digits_in_the_tail(v1, c1, v2, c2):
+    assume(v1 + c1 and v2 + c2 and v1 + v2 and c1 + c2)
+    z, p = two_sample_proportion_test(VCProfile(v1, c1), VCProfile(v2, c2))
+    # past |z| about 37.7 scipy's norm.sf flushes p to 0 while erfc still
+    # gives a subnormal; up to 37, p is at least 1e-299, a normal float
+    assume(abs(z) <= 37)
+    # Each side rounds |z| / sqrt(2) by up to 2**-52 relatively, which moves
+    # p by up to z**2 2**-52 relatively, and rounds its erfc by a few ulps
+    # (norm.sf takes 1 - erf below |z| = sqrt(2)). 8 (1 + z**2) eps covers
+    # both sides: over 40,000 random tables the largest error was a quarter of it.
+    assert math.isclose(p, 2 * stats.norm.sf(abs(z)), rel_tol=8 * (1 + z * z) * EPS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-6, 316))
+@example(1e-6)
+@example(316.0)
+def test_chi_square_tail_df1_against_chi2_sf(x):
+    assert math.isclose(chi_square_tail_df1(x), stats.chi2.sf(x, 1), rel_tol=chi_tail_rel_tol(x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**5), st.integers(0, 10**5), st.integers(0, 10**5), st.integers(0, 10**5))
+@example(10, 20, 20, 10)
+@example(3, 6, 2, 4)  # proportional rows: chi-square 0, p 1
+@example(740, 0, 0, 740)  # p a subnormal 1e-323, which scipy flushes to 0
+def test_independence_test_against_chi2_contingency(vv, vc, cv, cc):
+    # chi2_contingency rejects a table with a zero margin; independence_test
+    # rejects a zero row and skips a zero column
+    assume(vv + vc and cv + cc and vv + cv and vc + cc)
+    t = TransitionCounts(n={("V", "V"): vv, ("V", "C"): vc, ("C", "V"): cv, ("C", "C"): cc}, initial="V")
+    report = independence_test(t)
+    oracle = stats.chi2_contingency([[vv, vc], [cv, cc]], correction=False)
+    # Both sides round each expected count row * column / N once (the
+    # product is exact below 2**53) and each term (o - e)**2 / e alike, so
+    # they differ at most in the order they add four nonnegative terms:
+    # each order is within 3 eps of the exact sum
+    assert math.isclose(report.chi_square, oracle.statistic, rel_tol=6 * EPS)
+    assert report.degrees_of_freedom == oracle.dof == 1
+    # p = chi2.sf(chi, 1), and 6 eps of chi moves it by up to 3 chi eps
+    # relatively. Below the smallest normal float a value keeps only its
+    # absolute precision, and scipy flushes p to 0 where erfc is still subnormal.
+    rel_tol = chi_tail_rel_tol(report.chi_square) + 3 * report.chi_square * EPS
+    assert math.isclose(report.p_value, oracle.pvalue, rel_tol=rel_tol, abs_tol=sys.float_info.min)
