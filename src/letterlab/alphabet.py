@@ -8,7 +8,10 @@ raw text into a :class:`LetterSequence`; :func:`tokenize_words` splits
 it into maximal letter runs.
 
 Both translate through tables (lowercase, fold, keep letters) that each
-:class:`Alphabet` fills on demand and keeps. A sequence's letter codes
+:class:`Alphabet` fills on demand and keeps. It also keeps, built on first
+use, a pattern of its letters, so a sequence is checked with one
+``fullmatch``, and its V/C table, which maps each letter to its Markov
+state. A sequence's letter codes
 (each symbol's position in the alphabet, the integer array every counter
 reads) are computed on its first count and kept, read-only, with it. They
 are the one encoded form of text: the solver reads a cryptogram as the
@@ -31,9 +34,14 @@ so fold sources must be lowercase. Builtin names ("en", "en-y-vowel",
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass, field
 
 from .errors import InputError
+
+# the two states of Markov's vowel/consonant chain
+VOWEL = "V"
+CONSONANT = "C"
 
 
 class AlphabetSpecError(InputError):
@@ -115,6 +123,21 @@ class Alphabet:
         """Every ordered letter pair, indexed by pair code ``first * len + second``."""
         return tuple((a, b) for a in self.letters for b in self.letters)
 
+    @functools.cached_property
+    def _pair_set(self) -> frozenset[tuple[str, str]]:
+        return frozenset(self._pairs)
+
+    @functools.cached_property
+    def _letter_run(self) -> re.Pattern:
+        """Pattern that a string of letters only, the empty one included, matches in full."""
+        return re.compile(f"[{''.join(map(re.escape, self.letters))}]*")
+
+    @functools.cached_property
+    def _vc(self) -> dict[int, str]:
+        """``str.translate`` table from each letter to its chain state, VOWEL or CONSONANT."""
+        states = (VOWEL if ch in self.vowels else CONSONANT for ch in self.letters)
+        return str.maketrans("".join(self.letters), "".join(states))
+
 
 @dataclass(frozen=True)
 class LetterSequence:
@@ -149,7 +172,11 @@ class WordSequence:
     def __post_init__(self):
         if "" in self.words:
             raise InputError("empty word")
-        _check_letters("".join(self.words), self.alphabet)
+        try:
+            joined = "".join(self.words)
+        except TypeError:
+            raise InputError("words must be strings") from None
+        _check_letters(joined, self.alphabet)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -298,8 +325,10 @@ def first_foreign(symbols: str, inventory) -> str | None:
 
 
 def _check_letters(symbols: str, alphabet: Alphabet) -> None:
-    ch = first_foreign(symbols, alphabet.letters)
-    if ch is not None:
+    if not isinstance(symbols, str):
+        raise InputError(f"symbols must be a string, not {type(symbols).__name__}")
+    if alphabet._letter_run.fullmatch(symbols) is None:
+        ch = first_foreign(symbols, alphabet.letters)
         raise InputError(f"symbol {ch!r} not in alphabet {alphabet.name!r}")
 
 

@@ -324,9 +324,13 @@ def hill_climb_solve(
     strictly beats the current full score. So a sweep picks what
     rescoring every swapped key in full would pick; the BLAS build's
     rounding of a change, far below `slack`, cannot alter a pick, key or
-    record. A restart ends on the first sweep without an accepted swap,
-    since a sweep is a pure function of the assignment, so the climb
-    always ends. The best key across restarts wins, earliest restart
+    record. Swaps of two symbols the cryptogram never uses are left out
+    once per solve: each moves only zero rows and columns of N, so it
+    keeps the full score exactly, can never be accepted and changes no
+    pick. With no swap left (a cryptogram of one symbol) a restart ends
+    at once. Otherwise a restart ends on the first sweep without an
+    accepted swap, since a sweep is a pure function of the assignment,
+    so the climb always ends. The best key across restarts wins, earliest restart
     first on ties, so the result never scores below the frequency-match
     seed. The report keeps one :class:`RestartRecord` per restart.
     """
@@ -350,8 +354,12 @@ def hill_climb_solve(
     inverse = frequency_match_key(count_letters(stand_in), model.unigram).inverse()
     matched = np.array([ab.index(inverse[letter]) for letter in ab.letters], dtype=np.intp)
 
-    # the k-th swap exchanges the targets of symbols first[k] < second[k]
+    # the k-th swap exchanges the targets of symbols first[k] < second[k],
+    # at least one of which the cryptogram uses
     first, second = np.triu_indices(size, 1)
+    used = ndig.any(0) | ndig.any(1)
+    moves = used[first] | used[second]
+    first, second = first[moves], second[moves]
     # far above the rounding error of a delta plus that of two full scores:
     # a swap whose delta is this far below the best cannot score best in full
     slack = 1e-9 * ndig.sum() * np.abs(logp).max()
@@ -370,7 +378,7 @@ def hill_climb_solve(
             assignment = np.array(perm, dtype=np.intp)
         start = current = full_score(assignment)
         swaps = 0
-        while True:
+        while len(first):
             delta = _swap_deltas(ndig, logp, assignment)[first, second]
             # the full score decides among the near-best swaps, as it did among all
             near = delta >= delta.max() - slack

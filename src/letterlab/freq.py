@@ -28,9 +28,9 @@ class FrequencyTable:
     total: int
 
     def __post_init__(self):
-        if set(self.counts) != set(self.alphabet.letters):
+        if self.counts.keys() != self.alphabet._index.keys():
             raise InputError("counts must key every alphabet letter exactly once")
-        if any(c < 0 for c in self.counts.values()):
+        if min(self.counts.values()) < 0:
             raise InputError("negative count")
         if self.total != sum(self.counts.values()):
             raise InputError("total does not match counts")
@@ -61,11 +61,13 @@ class DigramTable:
     total: int
 
     def __post_init__(self):
-        for (a, b), n in self.counts.items():
-            if a not in self.alphabet._index or b not in self.alphabet._index:
-                raise InputError(f"pair ({a!r},{b!r}) not in alphabet {self.alphabet.name!r}")
-            if n < 0:
-                raise InputError("negative count")
+        # checked in C; the loop runs only to name the first bad entry
+        if not (self.counts.keys() <= self.alphabet._pair_set and min(self.counts.values(), default=0) >= 0):
+            for (a, b), n in self.counts.items():
+                if a not in self.alphabet._index or b not in self.alphabet._index:
+                    raise InputError(f"pair ({a!r},{b!r}) not in alphabet {self.alphabet.name!r}")
+                if n < 0:
+                    raise InputError("negative count")
         if self.total != sum(self.counts.values()):
             raise InputError("total does not match counts")
 

@@ -14,22 +14,22 @@ generator.
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 
-from .alphabet import Alphabet, LetterSequence
+from .alphabet import CONSONANT, VOWEL, Alphabet, LetterSequence
 from .errors import InputError
 from .freq import DigramTable, FrequencyTable, ordered_sum
 from .rng import SplitMix64
 
-VOWEL = "V"
-CONSONANT = "C"
 STATES = (VOWEL, CONSONANT)
 # a walk draws one label at a time in Python, so the length bounds its time
 MAX_GENERATE_LENGTH = 10_000_000
 # draws per block of rng.floats, so a walk's memory does not grow with its length
 _DRAW_BLOCK = 65_536
+_STATE_RUN = re.compile(f"[{VOWEL}{CONSONANT}]*")
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,9 @@ class BinarySequence:
     source: str = field(default="", compare=False)
 
     def __post_init__(self):
-        if not set(self.states) <= set(STATES):
+        if not isinstance(self.states, str):
+            raise InputError(f"states must be a string, not {type(self.states).__name__}")
+        if _STATE_RUN.fullmatch(self.states) is None:
             raise InputError("states must be V or C")
 
     def __len__(self) -> int:
@@ -98,9 +100,7 @@ class EntropyReport:
 
 def to_vc_sequence(seq: LetterSequence) -> BinarySequence:
     """Map each letter to V or C by the alphabet's vowel set."""
-    ab = seq.alphabet
-    vc = str.maketrans({ch: VOWEL if ab.is_vowel(ch) else CONSONANT for ch in ab.letters})
-    return BinarySequence(states=seq.symbols.translate(vc), source=seq.source)
+    return BinarySequence(states=seq.symbols.translate(seq.alphabet._vc), source=seq.source)
 
 
 def fit_transitions(b: BinarySequence) -> TransitionCounts:

@@ -24,6 +24,7 @@ from letterlab import (
     load_alphabet,
     normalize,
     positional_stats,
+    to_vc_sequence,
     tokenize_words,
 )
 
@@ -372,7 +373,9 @@ TRICKY = "İ\u212aßﬁÉé'x\x00\x01\x02"  # \u212a is the Kelvin sign
 FOLD_SPEC = "name: toy\nletters: abcdefikstx\nvowels: aei\nfold: é > e\nfold: x > -\nfold: ' > -\n"
 # letters at the lowest code points, so the word separator is "\x02"
 LOW = Alphabet(name="low", letters=("\x00", "\x01", "a", "b"), vowels=frozenset("a"))
-ALPHABETS = [builtin_alphabet(name) for name in builtin_names()] + [load_alphabet(FOLD_SPEC), LOW]
+# letters that are re metacharacters, in and out of a character class
+META = Alphabet(name="meta", letters=tuple("]^-\\[.*a"), vowels=frozenset("a^"))
+ALPHABETS = [builtin_alphabet(name) for name in builtin_names()] + [load_alphabet(FOLD_SPEC), LOW, META]
 mixed_text = st.text(
     alphabet=st.one_of(st.characters(min_codepoint=32, max_codepoint=0x2FF), st.sampled_from(TRICKY)),
     max_size=200,
@@ -416,3 +419,63 @@ def test_tricky_characters(en):
     assert normalize("İ\u212aßﬁÉ", en).symbols == "k"
     assert tokenize_words("aİb\u212ac", en).words == ("a", "bkc")
     assert tokenize_words("x-x", load_alphabet(FOLD_SPEC)).words == ()
+
+
+CJK = Alphabet(
+    name="cjk",
+    letters=tuple(chr(0x4E00 + i) for i in range(300)),
+    vowels=frozenset(chr(0x4E00 + i) for i in range(60)),
+)
+
+
+def test_a_300_letter_alphabet_is_checked_whole():
+    first, last_vowel, first_consonant, last = CJK.letters[0], CJK.letters[59], CJK.letters[60], CJK.letters[299]
+    raw = f"{first}{last}, {last_vowel}A{first_consonant}!"
+    seq = normalize(raw, CJK)
+    assert seq.symbols == first + last + last_vowel + first_consonant
+    assert tokenize_words(raw, CJK).words == (first + last, last_vowel, first_consonant)
+    assert to_vc_sequence(seq).states == "VCVC"
+    foreign = chr(0x4E00 + 300)
+    for make in (lambda: LetterSequence(CJK, first + foreign + "a"), lambda: WordSequence(CJK, (first, foreign + "a"))):
+        with pytest.raises(InputError) as excinfo:
+            make()
+        assert str(excinfo.value) == f"symbol {foreign!r} not in alphabet 'cjk'"
+
+
+@given(st.text(alphabet=st.one_of(st.sampled_from(META.letters), st.characters(max_codepoint=0x7F)), max_size=40))
+def test_letters_that_are_re_metacharacters(symbols):
+    # a foreign symbol is named, the first one in the text, whatever it is to re
+    foreign = [ch for ch in symbols if ch not in META.letters]
+    if not foreign:
+        assert LetterSequence(META, symbols).symbols == symbols
+        assert to_vc_sequence(LetterSequence(META, symbols)).states == "".join("V" if ch in "a^" else "C" for ch in symbols)
+        return
+    for make in (lambda: LetterSequence(META, symbols), lambda: WordSequence(META, (symbols,))):
+        with pytest.raises(InputError) as excinfo:
+            make()
+        assert str(excinfo.value) == f"symbol {foreign[0]!r} not in alphabet 'meta'"
+
+
+def test_metacharacter_letters_normalize_and_tokenize():
+    assert normalize("a.b*c\\d]", META).symbols == "a.*\\]"
+    assert tokenize_words("a.b*c\\d]", META).words == ("a.", "*", "\\", "]")
+    assert tokenize_words("^-[ x ]", META).words == ("^-[", "]")
+
+
+@pytest.mark.parametrize("ab", [builtin_alphabet("en"), META, CJK], ids=lambda ab: ab.name)
+def test_the_empty_sequence_passes(ab):
+    assert LetterSequence(ab, "").symbols == ""
+    assert WordSequence(ab, ()).words == ()
+    assert to_vc_sequence(LetterSequence(ab, "")).states == ""
+
+
+@pytest.mark.parametrize("symbols", [list("abc"), ("a", "b"), b"abc", None, 5], ids=repr)
+def test_a_letter_sequence_must_be_a_string(en, symbols):
+    with pytest.raises(InputError, match="^symbols must be a string, not "):
+        LetterSequence(en, symbols)
+
+
+@pytest.mark.parametrize("words", [(list("ab"),), ("ab", ("c",)), ("ab", b"cd"), (None,)], ids=repr)
+def test_each_word_must_be_a_string(en, words):
+    with pytest.raises(InputError, match="^words must be strings$"):
+        WordSequence(en, words)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import pickle
 import random
@@ -478,6 +479,39 @@ def test_solver_on_a_300_letter_alphabet():
         "-0x1.dacd89537c20ep+14",
         6,
     )
+
+
+def test_solver_skips_swaps_of_symbols_the_cryptogram_never_uses():
+    # 101 of 300 symbols occur, so most swaps move only zero rows and columns
+    # of the digram counts. Key, hex score and record were recorded before such
+    # swaps were left out, when this solve took 11 s: rescoring them in full
+    # changed nothing.
+    letters = tuple(chr(0x4E00 + i) for i in range(300))
+    ab = Alphabet(name="cjk", letters=letters, vowels=frozenset(letters[:60]))
+    rng = random.Random(22)
+    weights = [1 / (i + 1) for i in range(300)]
+    model = LanguageModel.train(LetterSequence(ab, "".join(rng.choices(letters, weights, k=30_000))))
+    plain = "".join(rng.choices(letters, weights, k=300))
+    targets = list(letters)
+    rng.shuffle(targets)
+    c = encrypt(LetterSequence(ab, plain), SubstitutionKey.from_target_string(ab, "".join(targets)))
+    assert len(set(c.symbols)) == 101
+    report = hill_climb_solve(c, model, restarts=1)
+    key = "".join(report.best_key.mapping[ch] for ch in letters)
+    assert hashlib.sha256(key.encode()).hexdigest() == "179e62e4754c88096098fe8c8f346aa82c5f9ee9e73356142db30fdf7a043863"
+    assert report.best_score.hex() == "-0x1.26ce06ecf5cb1p+10"
+    (record,) = report.restarts
+    assert (record.start_score.hex(), record.final_score.hex(), record.swaps) == (
+        "-0x1.3fbeae39465fep+10",
+        "-0x1.26ce06ecf5cb3p+10",
+        69,
+    )
+
+
+def test_solver_on_a_one_symbol_cryptogram_makes_no_swap(en, training_model):
+    report = hill_climb_solve(parse_cryptogram("q", en), training_model, restarts=3, seed=5)
+    assert [r.swaps for r in report.restarts] == [0, 0, 0]
+    assert all(r.start_score == r.final_score == 0.0 for r in report.restarts)
 
 
 def test_solver_keeps_one_record_per_restart(en, training_model, solver_plaintext):

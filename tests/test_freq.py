@@ -94,6 +94,39 @@ def test_digram_table_messages(en, counts, total, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize(
+    "key, error, message",
+    [
+        (("a", "b", "c"), ValueError, "too many values to unpack"),
+        (("a",), ValueError, "not enough values to unpack"),
+        (5, TypeError, "cannot unpack non-iterable int object"),
+    ],
+    ids=["three", "one", "int"],
+)
+def test_digram_table_key_that_is_not_a_pair(en, key, error, message):
+    # keyed after a good pair: the per-pair loop reaches it as it always did
+    with pytest.raises(error, match=message):
+        DigramTable(en, {("a", "b"): 1, key: 1}, 2)
+
+
+@pytest.mark.parametrize(
+    "change, total, message",
+    [
+        ({"é": 1}, 1, "counts must key every alphabet letter exactly once"),
+        ({"a": None}, 0, "counts must key every alphabet letter exactly once"),
+        ({"e": -1}, -1, "negative count"),
+        ({"e": 1}, 2, "total does not match counts"),
+    ],
+    ids=["extra", "missing", "negative", "total"],
+)
+def test_frequency_table_messages(en, change, total, message):
+    counts = {ch: 0 for ch in en.letters} | change
+    counts = {ch: n for ch, n in counts.items() if n is not None}
+    with pytest.raises(InputError) as excinfo:
+        FrequencyTable(en, counts, total)
+    assert str(excinfo.value) == message
+
+
 @given(st.text(alphabet="abcz", max_size=60))
 @example("")
 @example("a")

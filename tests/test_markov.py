@@ -87,6 +87,24 @@ def test_binary_sequence_rejects_other_states():
         BinarySequence("VCx")
 
 
+@pytest.mark.parametrize("states", ["VCx", "x", "VC\n", "vc", "V C"])
+def test_binary_sequence_message_for_other_states(states):
+    with pytest.raises(InputError) as excinfo:
+        BinarySequence(states)
+    assert str(excinfo.value) == "states must be V or C"
+
+
+def test_binary_sequence_accepts_every_v_c_string():
+    for states in ("", "V", "C", "VCCV" * 50):
+        assert BinarySequence(states).states == states
+
+
+@pytest.mark.parametrize("states", [list("VCVV"), ("V", "C"), b"VC", None], ids=repr)
+def test_binary_sequence_must_be_a_string(states):
+    with pytest.raises(InputError, match="^states must be a string, not "):
+        BinarySequence(states)
+
+
 def test_fit_transitions_counts_sum_to_length_minus_one():
     rng = random.Random(5)
     for _ in range(200):
