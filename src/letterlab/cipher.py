@@ -77,6 +77,8 @@ class Cryptogram:
             raise InputError("symbol inventory must be distinct")
         if any(len(s) != 1 for s in self.symbol_set):
             raise InputError("cipher symbols must be single characters")
+        if not isinstance(self.symbols, str):
+            raise InputError(f"symbols must be a string, not {type(self.symbols).__name__}")
         ch = first_foreign(self.symbols, self.symbol_set)
         if ch is not None:
             raise InputError(f"cryptogram symbol {ch!r} outside the expected inventory")
@@ -291,12 +293,29 @@ def score(seq: LetterSequence, model: LanguageModel) -> float:
     return ordered_sum(model._log_probs[codes[:-1], codes[1:]].tolist())
 
 
-def _swap_deltas(ndig: np.ndarray, logp: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Entry (i, j), i < j: the change of the full score of `a` when a[i] and a[j] swap."""
-    m = logp[a[:, None], a[None, :]]
-    s = ndig @ m.T + ndig.T @ m
-    nd, sd, md = ndig.diagonal(), s.diagonal(), m.diagonal()
-    return s + s.T - sd[:, None] - sd + (nd[:, None] + nd - ndig - ndig.T) * (md[:, None] + md - m - m.T)
+def _swap_plan(ndig: np.ndarray, logp: np.ndarray):
+    """(first, second, deltas): swap k exchanges the targets of symbols
+    first[k] < second[k], at least one of which the digram counts `ndig` use,
+    and deltas(a)[k] is the change of the full score of assignment `a` when
+    swap k is made."""
+    import numpy as np
+
+    size = len(ndig)
+    first, second = np.triu_indices(size, 1)
+    used = ndig.any(0) | ndig.any(1)
+    live = used[first] | used[second]
+    first, second = first[live], second[live]
+    # flat positions of (i, j), (j, i), (i, i) and (j, j) per swap (i, j)
+    corners = np.stack([first * size + second, second * size + first, first * (size + 1), second * (size + 1)])
+    w = np.array([1.0, 1.0, -1.0, -1.0])
+    block = w @ ndig.take(corners)  # -E, fixed per cryptogram
+
+    def deltas(a: np.ndarray) -> np.ndarray:
+        m = logp.take(a, 0).take(a, 1)
+        s = ndig @ m.T + ndig.T @ m
+        return w @ (s.take(corners) + block * m.take(corners))
+
+    return first, second, deltas
 
 
 def hill_climb_solve(
@@ -318,21 +337,24 @@ def hill_climb_solve(
     S[i,j] + S[j,i] - S[i,i] - S[j,j] + E[i,j]·D[i,j], where the last term
     corrects the 2x2 block where the moved rows and columns meet, with
     E[i,j] = N[i,i] + N[j,j] - N[i,j] - N[j,i] and D[i,j] the same in M.
-    The full score then decides among the swaps whose change is within
-    `slack` of the best one: the highest full score wins, the first swap
-    in (i, j) order among equal scores, and it is accepted only if it
-    strictly beats the current full score. So a sweep picks what
-    rescoring every swapped key in full would pick; the BLAS build's
-    rounding of a change, far below `slack`, cannot alter a pick, key or
-    record. Swaps of two symbols the cryptogram never uses are left out
-    once per solve: each moves only zero rows and columns of N, so it
-    keeps the full score exactly, can never be accepted and changes no
-    pick. With no swap left (a cryptogram of one symbol) a restart ends
-    at once. Otherwise a restart ends on the first sweep without an
-    accepted swap, since a sweep is a pure function of the assignment,
-    so the climb always ends. The best key across restarts wins, earliest restart
-    first on ties, so the result never scores below the frequency-match
-    seed. The report keeps one :class:`RestartRecord` per restart.
+    Swaps of two symbols the cryptogram never uses are left out once per
+    solve: each moves only zero rows and columns of N, so it keeps the
+    full score exactly, can never be accepted and changes no pick. E
+    depends on N alone, so it is gathered once per solve for the live
+    swaps, and a sweep reads S and M at only the four corners (i,j),
+    (j,i), (i,i) and (j,j) of each. The full score then decides among
+    the swaps whose change is within `slack` of the best one: the
+    highest full score wins, the first swap in (i, j) order among equal
+    scores, and it is accepted only if it strictly beats the current
+    full score. So a sweep picks what rescoring every swapped key in
+    full would pick; the BLAS build's rounding of a change, far below
+    `slack`, cannot alter a pick, key or record. With no swap left (a
+    cryptogram of one symbol) a restart ends at once. Otherwise a
+    restart ends on the first sweep without an accepted swap, since a
+    sweep is a pure function of the assignment, so the climb always
+    ends. The best key across restarts wins, earliest restart first on
+    ties, so the result never scores below the frequency-match seed. The
+    report keeps one :class:`RestartRecord` per restart.
     """
     import numpy as np
 
@@ -354,19 +376,14 @@ def hill_climb_solve(
     inverse = frequency_match_key(count_letters(stand_in), model.unigram).inverse()
     matched = np.array([ab.index(inverse[letter]) for letter in ab.letters], dtype=np.intp)
 
-    # the k-th swap exchanges the targets of symbols first[k] < second[k],
-    # at least one of which the cryptogram uses
-    first, second = np.triu_indices(size, 1)
-    used = ndig.any(0) | ndig.any(1)
-    moves = used[first] | used[second]
-    first, second = first[moves], second[moves]
+    first, second, deltas = _swap_plan(ndig, logp)
     # far above the rounding error of a delta plus that of two full scores:
     # a swap whose delta is this far below the best cannot score best in full
     slack = 1e-9 * ndig.sum() * np.abs(logp).max()
 
     # np.sum only ranks swaps here; the reported best_score comes from score()
     def full_score(a: np.ndarray) -> float:
-        return (ndig * logp[a[:, None], a[None, :]]).sum()
+        return (ndig * logp.take(a, 0).take(a, 1)).sum()
 
     finals, records = [], []
     for r in range(1, restarts + 1):
@@ -379,11 +396,13 @@ def hill_climb_solve(
         start = current = full_score(assignment)
         swaps = 0
         while len(first):
-            delta = _swap_deltas(ndig, logp, assignment)[first, second]
+            delta = deltas(assignment)
             # the full score decides among the near-best swaps, as it did among all
-            near = delta >= delta.max() - slack
-            ai, aj = assignment[first[near, None]], assignment[second[near, None]]
-            cands = np.where(assignment == ai, aj, np.where(assignment == aj, ai, assignment))
+            cands = []
+            for k in (delta >= delta.max() - slack).nonzero()[0]:
+                cand, i, j = assignment.copy(), first[k], second[k]
+                cand[i], cand[j] = assignment[j], assignment[i]
+                cands.append(cand)
             scores = [full_score(cand) for cand in cands]
             k = scores.index(max(scores))
             if not scores[k] > current:

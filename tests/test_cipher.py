@@ -32,7 +32,8 @@ from letterlab import (
     rank_order,
     score,
 )
-from letterlab.cipher import _swap_deltas
+from conftest import read_data
+from letterlab.cipher import _swap_plan
 from letterlab.rng import substream
 
 ABC = Alphabet(name="abc", letters=("a", "b", "c"), vowels=frozenset("a"))
@@ -98,6 +99,12 @@ def test_cryptogram_symbols_are_single_characters(en):
     for bad in ("zz", ""):
         with pytest.raises(InputError, match="^cipher symbols must be single characters$"):
             Cryptogram(en, "bcd", (bad, *en.letters[1:]))
+
+
+@pytest.mark.parametrize("symbols", [list("abc"), ("a", "b"), b"abc", None, 5], ids=repr)
+def test_cryptogram_symbols_must_be_a_string(en, symbols):
+    with pytest.raises(InputError, match=f"^symbols must be a string, not {type(symbols).__name__}$"):
+        Cryptogram(en, symbols, tuple(en.letters))
 
 
 def test_parse_cryptogram_ignores_whitespace_rejects_unknown(en):
@@ -481,6 +488,43 @@ def test_solver_on_a_300_letter_alphabet():
     )
 
 
+def test_solver_on_the_23_letter_latin_alphabet_is_pinned_to_the_bit():
+    # recorded before the sweep gathered its deltas at four corners per swap:
+    # the flat corner positions are then checked at a size other than 26
+    la = builtin_alphabet("la")
+    model = LanguageModel.train(normalize(read_data("english_training.txt"), la))
+    plain = normalize(read_data("solver_plaintext.txt"), la).symbols[:500]
+    targets = list(la.letters)
+    random.Random(23).shuffle(targets)
+    c = encrypt(LetterSequence(la, plain), SubstitutionKey.from_target_string(la, "".join(targets)))
+    report = hill_climb_solve(c, model, restarts=3, seed=23)
+    assert report.best_key.target_string() == "qgtifaulrxecdpbknozhmys"
+    assert report.best_score.hex() == "-0x1.4e98c280bd605p+10"
+    assert tuple((r.start_score.hex(), r.final_score.hex(), r.swaps) for r in report.restarts) == (
+        ("-0x1.a235a094563b1p+10", "-0x1.4e98c280bd5fcp+10", 9),
+        ("-0x1.47e14438670bep+11", "-0x1.78fb5285fd1f5p+10", 20),
+        ("-0x1.0d367909b1f3dp+11", "-0x1.74285c1c4b6ecp+10", 23),
+    )
+
+
+def test_solver_on_a_two_letter_alphabet_makes_its_single_swap():
+    # one swap only; the restarts that start from the wrong key make it
+    ab = Alphabet(name="ab", letters=("a", "b"), vowels=frozenset("a"))
+    rng = random.Random(2)
+    model = LanguageModel.train(LetterSequence(ab, "".join(rng.choice(["a", "ab", "abb"]) for _ in range(300))))
+    plain = "".join(rng.choice(["a", "ab", "abb", "bb"]) for _ in range(40))
+    key = SubstitutionKey.from_target_string(ab, "ba")
+    report = hill_climb_solve(encrypt(LetterSequence(ab, plain), key), model, restarts=4, seed=2)
+    assert report.best_key == key
+    assert report.best_score.hex() == "-0x1.b2d65194a48dcp+5"
+    assert tuple((r.start_score.hex(), r.final_score.hex(), r.swaps) for r in report.restarts) == (
+        ("-0x1.b2d65194a48dcp+5", "-0x1.b2d65194a48dcp+5", 0),
+        ("-0x1.b5cda5a9fc7b2p+5", "-0x1.b2d65194a48dcp+5", 1),
+        ("-0x1.b2d65194a48dcp+5", "-0x1.b2d65194a48dcp+5", 0),
+        ("-0x1.b5cda5a9fc7b2p+5", "-0x1.b2d65194a48dcp+5", 1),
+    )
+
+
 def test_solver_skips_swaps_of_symbols_the_cryptogram_never_uses():
     # 101 of 300 symbols occur, so most swaps move only zero rows and columns
     # of the digram counts. Key, hex score and record were recorded before such
@@ -578,16 +622,21 @@ def test_solver_results_are_pinned_to_the_bit(en, training_model, solver_plainte
 @st.composite
 def swap_cases(draw):
     """Digram counts, log-probabilities and an assignment of one size, from a
-    seeded generator: doubled letters put counts on the diagonal, and a
-    letter that never leads a digram leaves its row all zero."""
+    seeded generator: doubled letters put counts on the diagonal, a letter
+    that never leads a digram leaves its row all zero, and an unused symbol
+    leaves its row and its column all zero."""
     size, seed = draw(st.integers(2, 30)), draw(st.integers(0, 2**64 - 1))
-    doubled, empty_rows = draw(st.booleans()), draw(st.booleans())
+    doubled, empty_rows, unused = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
     rng = np.random.default_rng(seed)
     ndig = rng.integers(0, rng.choice([2, 10, 1000]), (size, size)).astype(float)
     if doubled:
         np.fill_diagonal(ndig, rng.integers(1, 50, size))
     if empty_rows:
         ndig[rng.random(size) < 0.3] = 0.0
+    if unused:
+        gone = rng.random(size) < 0.5
+        ndig[gone] = 0.0
+        ndig[:, gone] = 0.0
     p = rng.random((size, size)) ** 3 + 1e-12
     return ndig, np.log(p / p.sum(1, keepdims=True)), rng.permutation(size)
 
@@ -601,15 +650,25 @@ def test_swap_deltas_match_a_full_rescore(case):
     def full_score(b):
         return math.fsum((ndig * logp[np.ix_(b, b)]).ravel().tolist())
 
-    deltas = _swap_deltas(ndig, logp, a)
+    first, second, deltas = _swap_plan(ndig, logp)
+    delta = deltas(a)
+    assert len(delta) == len(first) == len(second)
     # the solver's slack, which must stay far above a delta's rounding error
     slack = 1e-9 * ndig.sum() * np.abs(logp).max()
     base = full_score(a)
+    live = dict(zip(zip(first.tolist(), second.tolist()), delta.tolist()))
+    assert list(live) == sorted(live)  # ties go to the first swap in (i, j) order
+    used = ndig.any(0) | ndig.any(1)
     for i in range(size - 1):
         for j in range(i + 1, size):
             b = a.copy()
             b[[i, j]] = a[[j, i]]
-            assert abs(deltas[i, j] - (full_score(b) - base)) <= 1e-6 * slack
+            if (i, j) in live:
+                assert abs(live[i, j] - (full_score(b) - base)) <= 1e-6 * slack
+            else:
+                # a swap of two unused symbols keeps the full score exactly
+                assert not used[i] and not used[j]
+                assert (ndig * logp[np.ix_(b, b)]).sum() == (ndig * logp[np.ix_(a, a)]).sum()
 
 
 def test_solver_rejects_a_negative_length_threshold_before_any_restart(monkeypatch, en, training_model):

@@ -100,8 +100,10 @@ def test_digram_table_messages(en, counts, total, message):
         (("a", "b", "c"), ValueError, "too many values to unpack"),
         (("a",), ValueError, "not enough values to unpack"),
         (5, TypeError, "cannot unpack non-iterable int object"),
+        # unpacks like ("a", "b"), yet count("a", "b") would never find it
+        ("ab", InputError, "^digram key 'ab' is not a pair$"),
     ],
-    ids=["three", "one", "int"],
+    ids=["three", "one", "int", "two-letter-string"],
 )
 def test_digram_table_key_that_is_not_a_pair(en, key, error, message):
     # keyed after a good pair: the per-pair loop reaches it as it always did
