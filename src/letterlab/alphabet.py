@@ -9,13 +9,13 @@ it into maximal letter runs.
 
 Both translate through tables (lowercase, fold, keep letters) that each
 :class:`Alphabet` fills on demand and keeps. It also keeps, built on first
-use, a pattern of its letters, so a sequence is checked with one
-``fullmatch``, and its V/C table, which maps each letter to its Markov
-state. A sequence's letter codes
-(each symbol's position in the alphabet, the integer array every counter
-reads) are computed on its first count and kept, read-only, with it. They
-are the one encoded form of text: the solver reads a cryptogram as the
-letter sequence in which letter i stands in for its i-th symbol.
+use, a pattern of its letters (one ``fullmatch`` checks a sequence), its
+V/C table, which maps each letter to its Markov state, and its code table:
+letter i has code i and the word separator code ``len(alphabet)``. A
+sequence's letter codes, the integer array every counter reads, are
+computed on its first count and kept, read-only, with it. They are the one
+encoded form of text: the solver reads a cryptogram as the letter sequence
+in which letter i stands in for its i-th symbol.
 
 Alphabets can be defined in a small line-oriented document::
 
@@ -115,8 +115,16 @@ class Alphabet:
 
     @functools.cached_property
     def _lookup(self) -> np.ndarray:
-        """Read-only array from code point to letter code, built on first use."""
-        return _lookup_array(self.letters)
+        """Read-only array from code point to code, built on first use: letter i
+        has code i and the word separator len(self), in the narrowest unsigned
+        dtype that holds them all, so widen before doing arithmetic on codes."""
+        import numpy as np
+
+        points = _code_points("".join(self.letters) + self.separator)
+        lookup = np.zeros(int(points.max()) + 1, dtype=np.min_scalar_type(len(self)))
+        lookup[points] = np.arange(len(points))
+        lookup.flags.writeable = False
+        return lookup
 
     @functools.cached_property
     def _pairs(self) -> tuple[tuple[str, str], ...]:
@@ -330,19 +338,6 @@ def _check_letters(symbols: str, alphabet: Alphabet) -> None:
     if alphabet._letter_run.fullmatch(symbols) is None:
         ch = first_foreign(symbols, alphabet.letters)
         raise InputError(f"symbol {ch!r} not in alphabet {alphabet.name!r}")
-
-
-def _lookup_array(inventory) -> np.ndarray:
-    """Read-only array from code point to position in `inventory`, in the
-    narrowest unsigned dtype that holds every position: widen before doing
-    arithmetic on the codes it gives."""
-    import numpy as np
-
-    points = _code_points("".join(inventory))
-    lookup = np.zeros(int(points.max()) + 1, dtype=np.min_scalar_type(len(points) - 1))
-    lookup[points] = np.arange(len(points))
-    lookup.flags.writeable = False
-    return lookup
 
 
 def _code_points(symbols: str) -> np.ndarray:

@@ -217,12 +217,12 @@ class SolverReport:
 def parse_cryptogram(text: str, alphabet: Alphabet, source: str = "cryptogram") -> Cryptogram:
     """Read ciphertext whose symbol inventory is the alphabet itself.
 
-    Whitespace is ignored and letters are lowercased one character at a
-    time; any other character is rejected, since a monoalphabetic
-    cryptogram has a fixed symbol inventory.
+    Whitespace is ignored. A symbol that is a letter is kept as is, any
+    other is lowercased, and one that is still no letter is rejected,
+    since a monoalphabetic cryptogram has a fixed symbol inventory.
     """
     symbols = "".join(text.split())
-    lower = {ch: ch.lower() for ch in set(symbols)}
+    lower = {ch: ch if ch in alphabet else ch.lower() for ch in set(symbols)}
     ch = first_foreign(symbols, [ch for ch, low in lower.items() if low in alphabet])
     if ch is not None:
         raise InputError(f"unexpected cryptogram symbol {ch!r}")

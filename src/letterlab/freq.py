@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .alphabet import Alphabet, LetterSequence, WordSequence, _code_points, _lookup_array
+from .alphabet import Alphabet, LetterSequence, WordSequence, _code_points
 from .errors import InputError
 from .rng import substream
 
@@ -84,8 +84,7 @@ class DigramTable:
         return rows
 
     def _ordered_pairs(self):
-        idx = self.alphabet.index
-        return sorted(self.counts, key=lambda p: (idx(p[0]), idx(p[1])))
+        return [pair for pair in self.alphabet._pairs if pair in self.counts]
 
 
 @dataclass(frozen=True)
@@ -147,7 +146,7 @@ def count_digrams(seq: LetterSequence) -> DigramTable:
 
     size = len(seq.alphabet)
     codes = seq._codes
-    # widened first: one-byte codes (up to 256 letters) overflow as pair codes
+    # widened first: one-byte codes (up to 255 letters) overflow as pair codes
     pairs = np.multiply(codes[:-1], size, dtype=np.intp) + codes[1:]
     tally = np.bincount(pairs, minlength=size * size).tolist()
     first = np.full(size * size, len(pairs))
@@ -288,9 +287,9 @@ def positional_stats(words: WordSequence) -> PositionalStats:
     import numpy as np
 
     ab = words.alphabet
-    # every word between two single separators, whose code is len(ab), so
-    # equal neighbours are always two letters of one word
-    codes = _lookup_array((*ab.letters, ab.separator))[_code_points(ab.separator.join(("", *words.words, "")))]
+    # every word between two single separators, which ab._lookup codes as
+    # len(ab), so equal neighbours are always two letters of one word
+    codes = ab._lookup[_code_points(ab.separator.join(("", *words.words, "")))]
     gaps = np.flatnonzero(codes == len(ab))
     starts, ends = gaps[:-1] + 1, gaps[1:] - 1
     long = starts < ends

@@ -120,7 +120,7 @@ def parse_reference(text: str, alphabet) -> str:
     for ch in text:
         if ch.isspace():
             continue
-        low = ch.lower()
+        low = ch if ch in alphabet else ch.lower()
         if low not in alphabet:
             raise InputError(f"unexpected cryptogram symbol {ch!r}")
         out.append(low)
@@ -157,6 +157,25 @@ def test_parse_cryptogram_lowercases_per_character():
 @given(st.text(alphabet=PARSE_CHARS, max_size=20))
 def test_parse_cryptogram_matches_per_character_reference_random(text):
     assert_parses_like_reference(text, MIXED)
+
+
+UPPER = load_alphabet(
+    "name: upper\nletters: ABCDEFGHIJKLMNOPQRSTUVWXYZ\nvowels: AEIOU\n"
+    + "".join(f"fold: {ch.lower()} > {ch}\n" for ch in "ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+)
+
+
+def test_parse_cryptogram_keeps_uppercase_letters():
+    assert parse_cryptogram("WKH TXLFN", UPPER).symbols == "WKHTXLFN"
+    with pytest.raises(InputError, match="^unexpected cryptogram symbol 'w'$"):
+        parse_cryptogram("wkh", UPPER)
+
+
+def test_parse_cryptogram_keeps_a_letter_that_lowercasing_changes():
+    # "A" is a letter in its own right, not another spelling of "a"
+    mixed_case = load_alphabet("name: mixed-case\nletters: aAbc\nvowels: a\nfold: ä > A\n")
+    assert parse_cryptogram("A a b c", mixed_case).symbols == "Aabc"
+    assert parse_cryptogram("B C", mixed_case).symbols == "bc"
 
 
 def test_frequency_match_key_definitional():

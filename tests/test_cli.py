@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import json
 import os
@@ -8,7 +9,10 @@ import sys
 import pytest
 
 from letterlab.alphabet import load_alphabet
-from letterlab.cli import main
+from letterlab.cipher import hill_climb_solve, length_check
+from letterlab.cli import COMMANDS, main
+from letterlab.stylometry import blocks_of, lipogram_scan
+from letterlab.zipf import fit_power_law
 
 from conftest import data_path
 
@@ -326,6 +330,22 @@ def test_version_and_help(capsys):
     assert "letterlab" in out
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, flag, function, parameter",
+    [
+        ("lipogram", "--alpha", lipogram_scan, "alpha"),
+        ("zipf", "--min-count", fit_power_law, "min_count"),
+        ("style compass", "--block-size", blocks_of, "block_size"),
+        ("solve", "--restarts", hill_climb_solve, "restarts"),
+        ("solve", "--length-threshold", hill_climb_solve, "warning_threshold"),
+        ("solve", "--length-threshold", length_check, "threshold"),
+    ],
+)
+def test_cli_defaults_match_the_library(command, flag, function, parameter):
+    (options,) = [c.options for c in COMMANDS if c.name == command]
+    assert options[flag]["default"] == inspect.signature(function).parameters[parameter].default
 
 
 def test_seed_outside_u64_is_a_data_error(capsys):

@@ -173,6 +173,7 @@ def test_codes_and_lookup_are_read_only(en):
         s._codes[0] = 1
     with pytest.raises(ValueError):
         en._lookup[ord("a")] = 1
+    assert en._lookup[ord(en.separator)] == len(en)
     assert s._codes.tolist() == [0, 1, 2]
 
 
@@ -464,7 +465,11 @@ def positional_reference(words: WordSequence) -> PositionalStats:
 LOW = Alphabet(name="low", letters=("\x00", "\x01", "a"), vowels=frozenset("a"))
 
 
-@pytest.mark.parametrize("ab", [builtin_alphabet("en"), LOW], ids=["en", "low"])
+# 256 letters, so the separator's code, 256, needs a second byte
+WIDE = Alphabet(name="wide", letters=tuple(map(chr, range(0x4E00, 0x4F00))), vowels=frozenset("\u4e00"))
+
+
+@pytest.mark.parametrize("ab", [builtin_alphabet("en"), LOW, WIDE], ids=["en", "low", "wide"])
 @given(data=st.data())
 def test_positional_stats_matches_per_word_reference(ab, data):
     words = data.draw(st.lists(st.text(alphabet=ab.letters[:3], min_size=1, max_size=6), max_size=10))
