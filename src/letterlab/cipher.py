@@ -342,14 +342,18 @@ def hill_climb_solve(
     full score exactly, can never be accepted and changes no pick. E
     depends on N alone, so it is gathered once per solve for the live
     swaps, and a sweep reads S and M at only the four corners (i,j),
-    (j,i), (i,i) and (j,j) of each. The full score then decides among
-    the swaps whose change is within `slack` of the best one: the
-    highest full score wins, the first swap in (i, j) order among equal
-    scores, and it is accepted only if it strictly beats the current
-    full score. So a sweep picks what rescoring every swapped key in
-    full would pick; the BLAS build's rounding of a change, far below
-    `slack`, cannot alter a pick, key or record. With no swap left (a
-    cryptogram of one symbol) a restart ends at once. Otherwise a
+    (j,i), (i,i) and (j,j) of each. A change's rounding (it varies with
+    the BLAS build), plus that of two full scores, is far below `slack`,
+    so a sweep ends the restart if the best change is below -`slack`,
+    and makes a swap without scoring it if it alone is within `slack` of
+    a best change above `slack`. Otherwise the full scores of the swaps
+    within `slack` of the best decide: the highest wins, the first in
+    (i, j) order among equal scores, and it is accepted only if it
+    strictly beats the current key's, scored then if still unknown. A
+    restart's final key is scored in full at its end. So a sweep picks
+    what rescoring every swapped key in full would pick, and rounding
+    cannot alter a pick, key or record. With no swap left (a cryptogram
+    of one symbol) a restart ends at once. Otherwise a
     restart ends on the first sweep without an accepted swap, since a
     sweep is a pure function of the assignment, so the climb always
     ends. The best key across restarts wins, earliest restart first on
@@ -397,9 +401,19 @@ def hill_climb_solve(
         swaps = 0
         while len(first):
             delta = deltas(assignment)
-            # the full score decides among the near-best swaps, as it did among all
+            best = delta.max()
+            if best < -slack:  # every swap lowers the full score
+                break
+            near = (delta >= best - slack).nonzero()[0]
+            if len(near) == 1 and best > slack:  # the one near swap raises the full score
+                i, j = first[near[0]], second[near[0]]
+                assignment[i], assignment[j] = assignment[j], assignment[i]
+                current, swaps = None, swaps + 1
+                continue
+            current = full_score(assignment) if current is None else current
+            # the full score decides among the near-best swaps
             cands = []
-            for k in (delta >= delta.max() - slack).nonzero()[0]:
+            for k in near:
                 cand, i, j = assignment.copy(), first[k], second[k]
                 cand[i], cand[j] = assignment[j], assignment[i]
                 cands.append(cand)
@@ -408,6 +422,7 @@ def hill_climb_solve(
             if not scores[k] > current:
                 break
             assignment, current, swaps = cands[k], scores[k], swaps + 1
+        current = full_score(assignment) if current is None else current
         finals.append(assignment)
         records.append(RestartRecord(float(start), float(current), swaps))
 

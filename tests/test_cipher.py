@@ -638,6 +638,90 @@ def test_solver_results_are_pinned_to_the_bit(en, training_model, solver_plainte
     assert tuple((r.start_score.hex(), r.final_score.hex(), r.swaps) for r in report.restarts) == records
 
 
+def reference_hill_climb(c, model, restarts, seed):
+    """hill_climb_solve with a sweep that always rescores in full: every swap
+    within slack of the best delta, and the current key, whose full score is
+    known at every sweep. Returns the best key's target string, the hex of its
+    score() and each restart's (start, final, swaps) with the scores in hex."""
+    ab, size = c.alphabet, len(c.symbol_set)
+    logp = model._log_probs
+    stand_in = LetterSequence(ab, c.symbols.translate(str.maketrans("".join(c.symbol_set), "".join(ab.letters))))
+    pairs = np.multiply(stand_in._codes[:-1], size, dtype=np.intp) + stand_in._codes[1:]
+    ndig = np.bincount(pairs, minlength=size * size).reshape(size, size).astype(float)
+    inverse = frequency_match_key(count_letters(stand_in), model.unigram).inverse()
+    first, second, deltas = _swap_plan(ndig, logp)
+    slack = 1e-9 * ndig.sum() * np.abs(logp).max()
+
+    def full_score(a):
+        return (ndig * logp.take(a, 0).take(a, 1)).sum()
+
+    finals, records = [], []
+    for r in range(1, restarts + 1):
+        if r == 1:
+            assignment = np.array([ab.index(inverse[letter]) for letter in ab.letters], dtype=np.intp)
+        else:
+            perm = list(range(size))
+            substream(seed, r).shuffle(perm)
+            assignment = np.array(perm, dtype=np.intp)
+        start = current = full_score(assignment)
+        swaps = 0
+        while len(first):
+            delta = deltas(assignment)
+            cands = []
+            for k in (delta >= delta.max() - slack).nonzero()[0]:
+                cand, i, j = assignment.copy(), first[k], second[k]
+                cand[i], cand[j] = assignment[j], assignment[i]
+                cands.append(cand)
+            scores = [full_score(cand) for cand in cands]
+            k = scores.index(max(scores))
+            if not scores[k] > current:
+                break
+            assignment, current, swaps = cands[k], scores[k], swaps + 1
+        finals.append(assignment)
+        records.append((float(start), float(current), swaps))
+    best = max(range(restarts), key=lambda i: records[i][1])
+    key = SubstitutionKey(ab, {ab.letters[t]: s for t, s in zip(finals[best], c.symbol_set)})
+    hexes = tuple((start.hex(), final.hex(), swaps) for start, final, swaps in records)
+    return key.target_string(), score(decrypt(c, key), model).hex(), hexes
+
+
+TWO_LETTERS = Alphabet(name="ab", letters=("a", "b"), vowels=frozenset("a"))
+
+
+@pytest.mark.parametrize("training", ["full", "short", "one letter", "empty"])
+@pytest.mark.parametrize("alphabet", ["en", "la", "two letters"])
+def test_solver_matches_the_always_rescoring_sweep(alphabet, training):
+    # "full" trains on the English training text (random text for two
+    # letters), "short" on a few letters, whose many unseen digrams tie
+    # deltas and full scores, "one letter" on no digrams, and "empty" on no
+    # counts at all, so every log-probability and every delta is equal
+    ab = TWO_LETTERS if alphabet == "two letters" else builtin_alphabet(alphabet)
+    rng = random.Random(f"{alphabet} {training}")
+    if ab is TWO_LETTERS:
+        text = "".join(rng.choice(["a", "ab", "abb", "bb"]) for _ in range(3000))
+        corpus = LetterSequence(ab, text[:600])
+    else:
+        text = normalize(read_data("english_analysis.txt"), ab).symbols
+        corpus = normalize(read_data("english_training.txt"), ab)
+    if training == "empty":
+        model = LanguageModel(FrequencyTable.empty(ab), DigramTable(ab, {}, 0))
+    else:
+        train = {"full": corpus.symbols, "short": "".join(rng.choices(ab.letters, k=rng.randint(2, 12)))}
+        model = LanguageModel.train(LetterSequence(ab, train.get(training, ab.letters[-1])))
+    for _ in range(12):
+        length = rng.choice([2, 15, 60, 150, 400, 1200])
+        at = rng.randrange(len(text) - length)
+        targets = list(ab.letters)
+        rng.shuffle(targets)
+        c = encrypt(LetterSequence(ab, text[at : at + length]), SubstitutionKey.from_target_string(ab, "".join(targets)))
+        restarts, seed = rng.randint(1, 6), rng.randrange(2**64)
+        report = hill_climb_solve(c, model, restarts=restarts, seed=seed)
+        records = tuple((r.start_score.hex(), r.final_score.hex(), r.swaps) for r in report.restarts)
+        assert (report.best_key.target_string(), report.best_score.hex(), records) == reference_hill_climb(
+            c, model, restarts, seed
+        )
+
+
 @st.composite
 def swap_cases(draw):
     """Digram counts, log-probabilities and an assignment of one size, from a
@@ -666,15 +750,16 @@ def test_swap_deltas_match_a_full_rescore(case):
     ndig, logp, a = case
     size = len(a)
 
-    def full_score(b):
-        return math.fsum((ndig * logp[np.ix_(b, b)]).ravel().tolist())
+    def terms(b):
+        return (ndig * logp[np.ix_(b, b)]).ravel().tolist()
 
     first, second, deltas = _swap_plan(ndig, logp)
     delta = deltas(a)
     assert len(delta) == len(first) == len(second)
     # the solver's slack, which must stay far above a delta's rounding error
     slack = 1e-9 * ndig.sum() * np.abs(logp).max()
-    base = full_score(a)
+    # one fsum over both keys' terms rounds the exact change once
+    minus_base = [-t for t in terms(a)]
     live = dict(zip(zip(first.tolist(), second.tolist()), delta.tolist()))
     assert list(live) == sorted(live)  # ties go to the first swap in (i, j) order
     used = ndig.any(0) | ndig.any(1)
@@ -683,11 +768,33 @@ def test_swap_deltas_match_a_full_rescore(case):
             b = a.copy()
             b[[i, j]] = a[[j, i]]
             if (i, j) in live:
-                assert abs(live[i, j] - (full_score(b) - base)) <= 1e-6 * slack
+                assert abs(live[i, j] - math.fsum(terms(b) + minus_base)) <= 1e-6 * slack
             else:
                 # a swap of two unused symbols keeps the full score exactly
                 assert not used[i] and not used[j]
                 assert (ndig * logp[np.ix_(b, b)]).sum() == (ndig * logp[np.ix_(a, a)]).sum()
+
+
+@settings(max_examples=150, deadline=None)
+@given(swap_cases())
+def test_a_swap_delta_beyond_slack_decides_the_full_score(case):
+    # hill_climb_solve makes a lone near-best swap with delta > slack without
+    # scoring it, and ends a restart when the best delta is below -slack
+    ndig, logp, a = case
+    first, second, deltas = _swap_plan(ndig, logp)
+    slack = 1e-9 * ndig.sum() * np.abs(logp).max()
+
+    def full_score(b):
+        return (ndig * logp.take(b, 0).take(b, 1)).sum()
+
+    base = full_score(a)
+    for i, j, d in zip(first, second, deltas(a)):
+        b = a.copy()
+        b[[i, j]] = a[[j, i]]
+        if d > slack:
+            assert full_score(b) > base
+        elif d < -slack:
+            assert full_score(b) < base
 
 
 def test_solver_rejects_a_negative_length_threshold_before_any_restart(monkeypatch, en, training_model):
