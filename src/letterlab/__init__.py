@@ -22,7 +22,7 @@ _EXPORTS = {
     "errors": "InputError",
     "freq": "ConfidenceInterval DigramTable FrequencyTable PositionalStats TableDistance compare_tables "
     "count_digrams count_letters merge positional_stats proportion_ci rank_order stability_curve",
-    "markov": "BinarySequence EntropyReport MarkovTestReport TransitionCounts entropy_estimates fit_transitions "
+    "markov": "EntropyReport MarkovTestReport TransitionCounts VC_ALPHABET entropy_estimates fit_transitions "
     "generate independence_test to_vc_sequence",
     "stylometry": "AlbertiVerdict LipogramFlag VariationSummary VCProfile alberti_test compass_of_variation "
     "lipogram_scan two_sample_proportion_test vc_profile",

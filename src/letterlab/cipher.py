@@ -94,12 +94,6 @@ class LengthWarning:
     length: int
     threshold: int
 
-    def message(self) -> str:
-        return (
-            f"cryptogram has {self.length} symbols; frequency analysis is "
-            f"unreliable below {self.threshold}"
-        )
-
 
 @dataclass(frozen=True)
 class LanguageModel:
@@ -112,8 +106,8 @@ class LanguageModel:
     def __post_init__(self):
         if self.unigram.alphabet != self.digram.alphabet:
             raise InputError("unigram and digram tables must share an alphabet")
-        if self.smoothing <= 0:
-            raise InputError("smoothing pseudo-count must be positive")
+        if not (math.isfinite(self.smoothing) and self.smoothing > 0):
+            raise InputError(f"smoothing pseudo-count must be positive and finite, got {self.smoothing!r}")
 
     @property
     def alphabet(self) -> Alphabet:
@@ -281,8 +275,8 @@ def frequency_match_key(cipher_table: FrequencyTable, reference: FrequencyTable)
 def score(seq: LetterSequence, model: LanguageModel) -> float:
     """Digram log likelihood of a letter sequence under the model.
 
-    Sum over adjacent pairs of log((digram count + s) / (first-letter
-    count + s * alphabet size)) with s the smoothing pseudo-count.
+    Sum over adjacent pairs ab of log((digram count of ab + s) / (unigram
+    count of a + s * alphabet size)) with s the smoothing pseudo-count.
     Higher is better; an all-zero model scores (len-1) * log(1/size).
     """
     if seq.alphabet != model.alphabet:

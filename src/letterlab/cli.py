@@ -337,7 +337,7 @@ def _generate(args) -> Report:
         if args.order is not None:
             raise InputError("generate --order applies to --model only")
         chain = fit_transitions(to_vc_sequence(_corpus(args, args.vc_corpus)))
-        sequence = generate(chain, args.length, seed=args.seed).states
+        sequence = generate(chain, args.length, seed=args.seed).symbols
         mode, order = "vc-chain", ""
     return Report(
         ["mode", "order", "length", "seed", "sequence"],
@@ -388,6 +388,9 @@ def _solve(args) -> Report:
         cryptogram, model, restarts=args.restarts, seed=args.seed, warning_threshold=args.length_threshold
     )
     warning = report.length_warning
+    notes = [] if warning is None else [
+        f"cryptogram has {warning.length} symbols; frequency analysis is unreliable below {warning.threshold}"
+    ]
     key_string = report.best_key.target_string()
     return Report(
         ["field", "value"],
@@ -412,7 +415,7 @@ def _solve(args) -> Report:
             "plaintext:",
             report.plaintext.symbols,
         ]
-        + ([] if warning is None else [warning.message()]),
+        + notes,
     )
 
 

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the one text reader
 that turns I/O failures into them."""
 
+import io
 import sys
 
 
@@ -13,12 +14,13 @@ class InputError(ValueError):
 
 
 def read_text(path: str) -> str:
-    """The whole UTF-8 file at `path`, or standard input for "-". Decoded in
-    one piece, so a decode error's byte offset counts from the file start.
+    """The whole UTF-8 file at `path`, or standard input for "-". Both are
+    decoded alike, whatever the locale: strictly, in one piece, so a decode
+    error's byte offset counts from the start, and with universal newlines.
     An unreadable or undecodable file is an InputError naming the path."""
     try:
         if path == "-":
-            return sys.stdin.read()
+            return io.TextIOWrapper(io.BytesIO(sys.stdin.buffer.read()), encoding="utf-8").read()
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:

@@ -14,9 +14,8 @@ generator.
 from __future__ import annotations
 
 import math
-import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, chain
 
 from .alphabet import CONSONANT, VOWEL, Alphabet, LetterSequence
@@ -25,28 +24,12 @@ from .freq import DigramTable, FrequencyTable, ordered_sum
 from .rng import SplitMix64
 
 STATES = (VOWEL, CONSONANT)
+# the alphabet of a V/C sequence: the two states, V the vowel
+VC_ALPHABET = Alphabet("vc", STATES, frozenset({VOWEL}))
 # a walk draws one label at a time in Python, so the length bounds its time
 MAX_GENERATE_LENGTH = 10_000_000
 # draws per block of rng.floats, so a walk's memory does not grow with its length
 _DRAW_BLOCK = 65_536
-_STATE_RUN = re.compile(f"[{VOWEL}{CONSONANT}]*")
-
-
-@dataclass(frozen=True)
-class BinarySequence:
-    """String over {V, C}."""
-
-    states: str
-    source: str = field(default="", compare=False)
-
-    def __post_init__(self):
-        if not isinstance(self.states, str):
-            raise InputError(f"states must be a string, not {type(self.states).__name__}")
-        if _STATE_RUN.fullmatch(self.states) is None:
-            raise InputError("states must be V or C")
-
-    def __len__(self) -> int:
-        return len(self.states)
 
 
 @dataclass(frozen=True)
@@ -98,14 +81,17 @@ class EntropyReport:
     h2: float
 
 
-def to_vc_sequence(seq: LetterSequence) -> BinarySequence:
-    """Map each letter to V or C by the alphabet's vowel set."""
-    return BinarySequence(states=seq.symbols.translate(seq.alphabet._vc), source=seq.source)
+def to_vc_sequence(seq: LetterSequence) -> LetterSequence:
+    """Map each letter to V or C by the alphabet's vowel set: a sequence over :data:`VC_ALPHABET`."""
+    return LetterSequence(VC_ALPHABET, seq.symbols.translate(seq.alphabet._vc), source=seq.source)
 
 
-def fit_transitions(b: BinarySequence) -> TransitionCounts:
-    """Count overlapping adjacent state pairs; needs length >= 2."""
-    s = b.states
+def fit_transitions(b: LetterSequence) -> TransitionCounts:
+    """Count overlapping adjacent state pairs of a sequence over
+    :data:`VC_ALPHABET`; needs length >= 2."""
+    if b.alphabet != VC_ALPHABET:
+        raise InputError(f"transitions need a sequence over alphabet {VC_ALPHABET.name!r}, not {b.alphabet.name!r}")
+    s = b.symbols
     if len(s) < 2:
         raise InputError("need at least two states to fit transitions")
     # "VC" and "CV" cannot overlap themselves, so str.count sees every one;
@@ -173,13 +159,15 @@ def entropy_estimates(unigram: FrequencyTable, digram: DigramTable) -> EntropyRe
 def generate(model, length: int, seed: int, order: int | None = None):
     """Run a fitted model forward; deterministic for a given seed.
 
-    With a :class:`TransitionCounts` the walk starts from the marginal
-    state distribution and follows the row-conditional probabilities,
-    returning a :class:`BinarySequence`; an `order` raises. With a
+    Both kinds of model return a :class:`LetterSequence`. With a
+    :class:`TransitionCounts` the walk starts from the marginal state
+    distribution and follows the row-conditional probabilities, and its
+    sequence is over :data:`VC_ALPHABET`; an `order` raises. With a
     :class:`~letterlab.cipher.LanguageModel`, order 0 samples the raw
     unigram proportions and order 1 (the default) samples smoothed digram
-    rows (the smoothing pseudo-count keeps every row normalizable),
-    returning a :class:`LetterSequence`. A row that cannot be normalized
+    rows, the row of letter a being (digram count of ab + s) / (digram row
+    total of a + s * alphabet size) with s the smoothing pseudo-count, which
+    keeps every row normalizable. A row that cannot be normalized
     raises :class:`InputError` when the walk reaches it. A length above
     :data:`MAX_GENERATE_LENGTH` raises before the walk starts.
     """
@@ -219,14 +207,14 @@ def _walk(rng: SplitMix64, labels, start: list[float], rows: list, length: int) 
     return "".join(out)
 
 
-def _generate_states(t: TransitionCounts, length: int, rng: SplitMix64) -> BinarySequence:
+def _generate_states(t: TransitionCounts, length: int, rng: SplitMix64) -> LetterSequence:
     total = t.total
     if length > 0 and total == 0:
         raise InputError("non-normalizable row: no transitions observed")
     totals = [t.row_total(a) for a in STATES]
     marginal = [r / total for r in totals] if total else None
     rows = [[t.n[(a, b)] / r for b in STATES] if r else None for a, r in zip(STATES, totals)]
-    return BinarySequence(states=_walk(rng, STATES, marginal, rows, length), source="generated order-1 chain")
+    return LetterSequence(VC_ALPHABET, _walk(rng, STATES, marginal, rows, length), source="generated order-1 chain")
 
 
 def _generate_letters(model, length: int, rng: SplitMix64, order: int) -> LetterSequence:

@@ -434,7 +434,7 @@ def test_a_300_letter_alphabet_is_checked_whole():
     seq = normalize(raw, CJK)
     assert seq.symbols == first + last + last_vowel + first_consonant
     assert tokenize_words(raw, CJK).words == (first + last, last_vowel, first_consonant)
-    assert to_vc_sequence(seq).states == "VCVC"
+    assert to_vc_sequence(seq).symbols == "VCVC"
     foreign = chr(0x4E00 + 300)
     for make in (lambda: LetterSequence(CJK, first + foreign + "a"), lambda: WordSequence(CJK, (first, foreign + "a"))):
         with pytest.raises(InputError) as excinfo:
@@ -448,7 +448,7 @@ def test_letters_that_are_re_metacharacters(symbols):
     foreign = [ch for ch in symbols if ch not in META.letters]
     if not foreign:
         assert LetterSequence(META, symbols).symbols == symbols
-        assert to_vc_sequence(LetterSequence(META, symbols)).states == "".join("V" if ch in "a^" else "C" for ch in symbols)
+        assert to_vc_sequence(LetterSequence(META, symbols)).symbols == "".join("V" if ch in "a^" else "C" for ch in symbols)
         return
     for make in (lambda: LetterSequence(META, symbols), lambda: WordSequence(META, (symbols,))):
         with pytest.raises(InputError) as excinfo:
@@ -466,7 +466,7 @@ def test_metacharacter_letters_normalize_and_tokenize():
 def test_the_empty_sequence_passes(ab):
     assert LetterSequence(ab, "").symbols == ""
     assert WordSequence(ab, ()).words == ()
-    assert to_vc_sequence(LetterSequence(ab, "")).states == ""
+    assert to_vc_sequence(LetterSequence(ab, "")).symbols == ""
 
 
 @pytest.mark.parametrize("symbols", [list("abc"), ("a", "b"), b"abc", None, 5], ids=repr)

@@ -278,6 +278,18 @@ def test_replaced_smoothing_scores_with_the_new_pseudo_count(en, training_model,
     assert score(seq, replaced) != at_half
 
 
+@pytest.mark.parametrize("smoothing", [math.nan, math.inf, -math.inf, 0.0, -0.5], ids=repr)
+def test_smoothing_must_be_positive_and_finite(training_model, smoothing):
+    # a NaN or infinite pseudo-count would make every log-probability NaN
+    for make in (
+        lambda: dataclasses.replace(training_model, smoothing=smoothing),
+        lambda: LanguageModel(training_model.unigram, training_model.digram, smoothing=smoothing),
+    ):
+        with pytest.raises(InputError) as excinfo:
+            make()
+        assert str(excinfo.value) == f"smoothing pseudo-count must be positive and finite, got {smoothing!r}"
+
+
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
 def test_a_pickled_model_that_has_scored_scores_the_same(protocol, en, training_model, solver_plaintext):
     seq = LetterSequence(en, solver_plaintext.symbols[:500])
@@ -688,6 +700,29 @@ def reference_hill_climb(c, model, restarts, seed):
 TWO_LETTERS = Alphabet(name="ab", letters=("a", "b"), vowels=frozenset("a"))
 
 
+def solver_texts(ab, rng):
+    """(text to encrypt, training corpus): the English fixtures, or random
+    text for TWO_LETTERS."""
+    if ab is TWO_LETTERS:
+        text = "".join(rng.choice(["a", "ab", "abb", "bb"]) for _ in range(3000))
+        return text, LetterSequence(ab, text[:600])
+    return normalize(read_data("english_analysis.txt"), ab).symbols, normalize(read_data("english_training.txt"), ab)
+
+
+def solver_cases(ab, text, rng, count):
+    """`count` (cryptogram, restarts, seed): a random key applied to a slice of
+    `text` of 2 to 1,200 letters, with 1 to 6 restarts."""
+    cases = []
+    for _ in range(count):
+        length = rng.choice([2, 15, 60, 150, 400, 1200])
+        at = rng.randrange(len(text) - length)
+        targets = list(ab.letters)
+        rng.shuffle(targets)
+        c = encrypt(LetterSequence(ab, text[at : at + length]), SubstitutionKey.from_target_string(ab, "".join(targets)))
+        cases.append((c, rng.randint(1, 6), rng.randrange(2**64)))
+    return cases
+
+
 @pytest.mark.parametrize("training", ["full", "short", "one letter", "empty"])
 @pytest.mark.parametrize("alphabet", ["en", "la", "two letters"])
 def test_solver_matches_the_always_rescoring_sweep(alphabet, training):
@@ -697,29 +732,56 @@ def test_solver_matches_the_always_rescoring_sweep(alphabet, training):
     # counts at all, so every log-probability and every delta is equal
     ab = TWO_LETTERS if alphabet == "two letters" else builtin_alphabet(alphabet)
     rng = random.Random(f"{alphabet} {training}")
-    if ab is TWO_LETTERS:
-        text = "".join(rng.choice(["a", "ab", "abb", "bb"]) for _ in range(3000))
-        corpus = LetterSequence(ab, text[:600])
-    else:
-        text = normalize(read_data("english_analysis.txt"), ab).symbols
-        corpus = normalize(read_data("english_training.txt"), ab)
+    text, corpus = solver_texts(ab, rng)
     if training == "empty":
         model = LanguageModel(FrequencyTable.empty(ab), DigramTable(ab, {}, 0))
     else:
         train = {"full": corpus.symbols, "short": "".join(rng.choices(ab.letters, k=rng.randint(2, 12)))}
         model = LanguageModel.train(LetterSequence(ab, train.get(training, ab.letters[-1])))
-    for _ in range(12):
-        length = rng.choice([2, 15, 60, 150, 400, 1200])
-        at = rng.randrange(len(text) - length)
-        targets = list(ab.letters)
-        rng.shuffle(targets)
-        c = encrypt(LetterSequence(ab, text[at : at + length]), SubstitutionKey.from_target_string(ab, "".join(targets)))
-        restarts, seed = rng.randint(1, 6), rng.randrange(2**64)
+    for c, restarts, seed in solver_cases(ab, text, rng, 12):
         report = hill_climb_solve(c, model, restarts=restarts, seed=seed)
         records = tuple((r.start_score.hex(), r.final_score.hex(), r.swaps) for r in report.restarts)
         assert (report.best_key.target_string(), report.best_score.hex(), records) == reference_hill_climb(
             c, model, restarts, seed
         )
+
+
+@pytest.mark.parametrize("alphabet", ["en", "la", "two letters"])
+def test_solver_results_survive_noise_in_the_deltas(monkeypatch, alphabet):
+    # every decision of a sweep leaves a margin of slack, so deltas off by
+    # about 1e-3 * slack, far beyond their own rounding, change no key, no
+    # best_score bit and no record; the one-letter model's deltas tie, and
+    # full scores decide
+    ab = TWO_LETTERS if alphabet == "two letters" else builtin_alphabet(alphabet)
+    rng = random.Random(f"noise {alphabet}")
+    text, corpus = solver_texts(ab, rng)
+    models = [LanguageModel.train(corpus), LanguageModel.train(LetterSequence(ab, ab.letters[-1]))]
+    cases = solver_cases(ab, text, rng, 8)
+
+    def solve_all():
+        reports = [hill_climb_solve(c, m, restarts=r, seed=seed) for m in models for c, r, seed in cases]
+        return [
+            (rep.best_key.target_string(), rep.best_score.hex())
+            + tuple((r.start_score.hex(), r.final_score.hex(), r.swaps) for r in rep.restarts)
+            for rep in reports
+        ]
+
+    unperturbed = solve_all()
+    noise, sweeps = np.random.default_rng(len(alphabet)), []
+
+    def noisy_plan(ndig, logp):
+        first, second, deltas = _swap_plan(ndig, logp)
+        slack = 1e-9 * ndig.sum() * np.abs(logp).max()
+
+        def noisy(a):
+            sweeps.append(len(first))
+            return deltas(a) + noise.uniform(-1e-3, 1e-3, len(first)) * slack
+
+        return first, second, noisy
+
+    monkeypatch.setattr("letterlab.cipher._swap_plan", noisy_plan)
+    assert solve_all() == unperturbed
+    assert len(sweeps) >= len(cases) * len(models)  # every solve swept with noise
 
 
 @st.composite
@@ -763,12 +825,37 @@ def test_swap_deltas_match_a_full_rescore(case):
     live = dict(zip(zip(first.tolist(), second.tolist()), delta.tolist()))
     assert list(live) == sorted(live)  # ties go to the first swap in (i, j) order
     used = ndig.any(0) | ndig.any(1)
+    # Rounding bounds, with u = 2**-53 and gamma(k) = k*u / (1 - k*u) the
+    # relative bound of k roundings in a row (Higham 2002, Lemma 3.1). Each
+    # term of a delta, N[p,l]*M[q,l] in S at one of its four corners or E*M
+    # at one corner, passes through at most size + 5 roundings: the product
+    # and size - 1 sums of its dot product (in any order BLAS sums), the sum
+    # of N*M.T and N.T*M, the sum with E*M (or that product), and three sums
+    # over the corners. So |delta - exact| <= gamma(size + 5) * (sum of the
+    # terms' magnitudes). The reference rounds each product N*logp once and
+    # their fsum once; products outside rows and columns i and j are equal in
+    # both keys and cancel exactly, so it is within gamma(2) times the
+    # magnitudes of the products in those rows and columns.
+    u = 2.0**-53
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    m = np.abs(logp[np.ix_(a, a)])
+    mag = ndig @ m.T + ndig.T @ m
     for i in range(size - 1):
         for j in range(i + 1, size):
             b = a.copy()
             b[[i, j]] = a[[j, i]]
             if (i, j) in live:
-                assert abs(live[i, j] - math.fsum(terms(b) + minus_base)) <= 1e-6 * slack
+                corners = ([i, j, i, j], [j, i, i, j])
+                e = ndig[i, j] + ndig[j, i] - ndig[i, i] - ndig[j, j]
+                moved = np.zeros((size, size), dtype=bool)
+                moved[[i, j]] = moved[:, [i, j]] = True
+                products = (ndig * (m + np.abs(logp[np.ix_(b, b)])))[moved].sum()
+                bound = gamma(size + 5) * (mag[corners].sum() + abs(e) * m[corners].sum()) + gamma(2) * products
+                assert abs(live[i, j] - math.fsum(terms(b) + minus_base)) <= bound
+                assert bound <= 1e-4 * slack
             else:
                 # a swap of two unused symbols keeps the full score exactly
                 assert not used[i] and not used[j]

@@ -11,6 +11,7 @@ import pytest
 from letterlab.alphabet import load_alphabet
 from letterlab.cipher import hill_climb_solve, length_check
 from letterlab.cli import COMMANDS, main
+from letterlab.errors import InputError, read_text
 from letterlab.stylometry import blocks_of, lipogram_scan
 from letterlab.zipf import fit_power_law
 
@@ -211,9 +212,7 @@ def test_solve_short_input_carries_length_warning(tmp_path, capsys):
 
 
 def test_stdin_input(capsys, monkeypatch):
-    import io
-
-    monkeypatch.setattr("sys.stdin", io.StringIO("hello world"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"hello world"), encoding="utf-8"))
     code, out, _ = run_cli(capsys, "count", "-", "--format", "json")
     assert code == 0
     assert json.loads(out)["counts"]["l"] == 3
@@ -467,6 +466,55 @@ def test_undecodable_input_is_a_data_error(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
     code, out, err = run_cli(capsys, "count", "-")
     assert code == 1 and out == "" and err.startswith("letterlab: error: cannot decode '-'")
+
+
+def run_on_stdin(data: bytes, *argv, **env):
+    """`letterlab argv` in a fresh interpreter under the POSIX locale, with
+    `data` on standard input and `env` added to the environment."""
+    env = dict(
+        {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"},
+        PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+        LC_ALL="C",
+        **env,
+    )
+    argv = [sys.executable, "-m", "letterlab", *argv]
+    return subprocess.run(argv, input=data, capture_output=True, env=env, timeout=60)
+
+
+def test_stdin_is_strict_utf8_under_the_posix_locale():
+    # the locale's own stdin codec would let UTF-16 through with surrogate escapes
+    done = run_on_stdin(b"\xff\xfeh\x00i\x00", "count", "-")
+    assert done.returncode == 1 and done.stdout == b""
+    assert done.stderr.startswith(b"letterlab: error: cannot decode '-' as UTF-8: invalid start byte at byte 0")
+
+
+def test_stdin_is_utf8_whatever_the_io_encoding():
+    # read as latin-1, "\xc3\xa9" would be two foreign characters and "\xff" a y
+    argv = ("count", "--alphabet", "fr", "-", "--format", "json")
+    done = run_on_stdin("café".encode(), *argv, PYTHONIOENCODING="latin-1")
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["counts"]["e"] == 1
+    done = run_on_stdin("café \xff".encode("latin-1"), *argv, PYTHONIOENCODING="latin-1")
+    assert done.returncode == 1 and done.stdout == b""
+    assert done.stderr.startswith(b"letterlab: error: cannot decode '-' as UTF-8")
+
+
+@pytest.mark.parametrize(
+    "data", [b"caf\xc3\xa9\r\nna\xc3\xafve\rend\n", b"\xef\xbb\xbfbom", b"", b"a\xc3", b"ok\xffno"], ids=repr
+)
+def test_stdin_is_read_as_a_file_is(monkeypatch, tmp_path, data):
+    # the same text, or the same decode error, whatever codec stdin's wrapper has
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+
+    def read(name):
+        try:
+            return read_text(name)
+        except InputError as exc:
+            return str(exc).replace(repr(str(path)), "'-'")
+
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="latin-1"))
+    assert read("-") == read(str(path))
 
 
 @pytest.mark.parametrize("module", ["letterlab", "letterlab.cli"])

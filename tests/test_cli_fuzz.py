@@ -125,7 +125,7 @@ def argvs(draw, paths):
 def test_cli_fuzz(paths, data):
     argv = data.draw(argvs(paths), label="argv")
     out, err = io.StringIO(), io.StringIO()
-    stdin = io.StringIO(TEXT[:200])
+    stdin = io.TextIOWrapper(io.BytesIO(TEXT[:200].encode()), encoding="utf-8")
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         saved, sys.stdin = sys.stdin, stdin
         try:

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from letterlab import (
-    BinarySequence,
+    VC_ALPHABET,
+    Alphabet,
     InputError,
     LanguageModel,
     LetterSequence,
@@ -23,6 +24,10 @@ from letterlab.markov import _DRAW_BLOCK, _walk, chi_square_tail_df1
 from letterlab.rng import SplitMix64
 
 
+def vc_seq(states):
+    return LetterSequence(VC_ALPHABET, states)
+
+
 def counts(vv, vc, cv, cc, initial="V"):
     return TransitionCounts(
         n={("V", "V"): vv, ("V", "C"): vc, ("C", "V"): cv, ("C", "C"): cc},
@@ -31,31 +36,32 @@ def counts(vv, vc, cv, cc, initial="V"):
 
 
 def test_to_vc_sequence(en):
-    assert to_vc_sequence(normalize("onegin", en)).states == "VCVCVC"
-    assert to_vc_sequence(normalize("rhythm", en)).states == "CCCCCC"
+    assert to_vc_sequence(normalize("onegin", en)) == vc_seq("VCVCVC")
+    assert to_vc_sequence(normalize("rhythm", en)) == vc_seq("CCCCCC")
+    assert to_vc_sequence(normalize("onegin", en)).alphabet is VC_ALPHABET
 
 
 def test_vc_counts_agree_with_stylometry(en, analysis_corpus):
     b = to_vc_sequence(analysis_corpus)
-    assert b.states.count("V") == vc_profile(analysis_corpus).vowel_count
+    assert b.symbols.count("V") == vc_profile(analysis_corpus).vowel_count
 
 
 def test_to_vc_commutes_with_concatenation(en):
     a = normalize("letter", en)
     b = normalize("counting", en)
     joined = LetterSequence(en, a.symbols + b.symbols)
-    assert to_vc_sequence(joined).states == to_vc_sequence(a).states + to_vc_sequence(b).states
+    assert to_vc_sequence(joined).symbols == to_vc_sequence(a).symbols + to_vc_sequence(b).symbols
 
 
 def test_fit_transitions_alternating():
-    t = fit_transitions(BinarySequence("VCVCVC"))
+    t = fit_transitions(vc_seq("VCVCVC"))
     assert t.n[("V", "C")] == 3 and t.n[("C", "V")] == 2
     assert t.n[("V", "V")] == 0 and t.n[("C", "C")] == 0
     assert t.initial == "V"
 
 
 def test_fit_transitions_runs():
-    t = fit_transitions(BinarySequence("VVV"))
+    t = fit_transitions(vc_seq("VVV"))
     assert t.n[("V", "V")] == 2 and t.total == 2
 
 
@@ -64,7 +70,7 @@ def test_fit_transitions_matches_direct_pair_count(states):
     pairs = {(a, b): 0 for a in "VC" for b in "VC"}
     for a, b in zip(states, states[1:]):
         pairs[(a, b)] += 1
-    t = fit_transitions(BinarySequence(states))
+    t = fit_transitions(vc_seq(states))
     assert t.n == pairs
     assert list(t.n) == [("V", "V"), ("V", "C"), ("C", "V"), ("C", "C")]
     assert t.initial == states[0]
@@ -79,42 +85,55 @@ def test_fit_transitions_matches_direct_pair_count_random():
         expected = {(a, b): 0 for a in "VC" for b in "VC"}
         for pair in zip(states, states[1:]):
             expected[pair] += 1
-        assert fit_transitions(BinarySequence(states)).n == expected
+        assert fit_transitions(vc_seq(states)).n == expected
 
 
+# a binary sequence is a V/C sequence: a LetterSequence over VC_ALPHABET
 def test_binary_sequence_rejects_other_states():
-    with pytest.raises(InputError, match="V or C"):
-        BinarySequence("VCx")
+    with pytest.raises(InputError, match="^symbol 'x' not in alphabet 'vc'$"):
+        vc_seq("VCx")
 
 
 @pytest.mark.parametrize("states", ["VCx", "x", "VC\n", "vc", "V C"])
 def test_binary_sequence_message_for_other_states(states):
     with pytest.raises(InputError) as excinfo:
-        BinarySequence(states)
-    assert str(excinfo.value) == "states must be V or C"
+        vc_seq(states)
+    bad = next(ch for ch in states if ch not in "VC")
+    assert str(excinfo.value) == f"symbol {bad!r} not in alphabet 'vc'"
 
 
 def test_binary_sequence_accepts_every_v_c_string():
     for states in ("", "V", "C", "VCCV" * 50):
-        assert BinarySequence(states).states == states
+        assert vc_seq(states).symbols == states
 
 
 @pytest.mark.parametrize("states", [list("VCVV"), ("V", "C"), b"VC", None], ids=repr)
 def test_binary_sequence_must_be_a_string(states):
-    with pytest.raises(InputError, match="^states must be a string, not "):
-        BinarySequence(states)
+    with pytest.raises(InputError, match=f"^symbols must be a string, not {type(states).__name__}$"):
+        vc_seq(states)
+
+
+def test_fit_transitions_needs_the_vc_alphabet(en):
+    # the same letters under another name, or any other alphabet, are not V/C states
+    for seq in (normalize("onegin", en), LetterSequence(Alphabet("vc2", ("V", "C"), frozenset("V")), "VCV")):
+        with pytest.raises(InputError) as excinfo:
+            fit_transitions(seq)
+        assert str(excinfo.value) == f"transitions need a sequence over alphabet 'vc', not {seq.alphabet.name!r}"
+    # an alphabet equal to VC_ALPHABET is the V/C alphabet
+    same = Alphabet("vc", ("V", "C"), frozenset("V"))
+    assert fit_transitions(LetterSequence(same, "VCV")) == fit_transitions(vc_seq("VCV"))
 
 
 def test_fit_transitions_counts_sum_to_length_minus_one():
     rng = random.Random(5)
     for _ in range(200):
         states = "".join(rng.choice("VC") for _ in range(rng.randint(2, 40)))
-        assert fit_transitions(BinarySequence(states)).total == len(states) - 1
+        assert fit_transitions(vc_seq(states)).total == len(states) - 1
 
 
 def test_fit_transitions_needs_two_states():
     with pytest.raises(InputError):
-        fit_transitions(BinarySequence("V"))
+        fit_transitions(vc_seq("V"))
 
 
 def test_independence_balanced_counts():
@@ -127,7 +146,7 @@ def test_independence_balanced_counts():
 def test_independence_perfect_alternation():
     # V,C,V,...,length 1001: 500 of each transition direction, expected
     # cells all 250, so chi-square is exactly 4 * 250 = 1000
-    t = fit_transitions(BinarySequence("VC" * 500 + "V"))
+    t = fit_transitions(vc_seq("VC" * 500 + "V"))
     report = independence_test(t)
     assert math.isclose(report.chi_square, 1000.0, rel_tol=1e-12)
     assert report.p_value < 1e-15
@@ -188,8 +207,8 @@ def test_entropy_empty_errors(en):
 
 
 def test_generate_length_zero(en, training_model):
-    assert generate(counts(1, 1, 1, 1), 0, seed=1).states == ""
-    assert generate(counts(0, 0, 0, 0), 0, seed=1).states == ""
+    assert generate(counts(1, 1, 1, 1), 0, seed=1) == vc_seq("")
+    assert generate(counts(0, 0, 0, 0), 0, seed=1) == vc_seq("")
     assert generate(training_model, 0, seed=1).symbols == ""
     # an empty table raises only when the walk has to draw from it
     from letterlab import DigramTable, FrequencyTable
@@ -249,7 +268,7 @@ def test_generate_unreachable_zero_row_is_fine():
     # row C is empty but the chain starting at V never needs it
     t = counts(10, 0, 0, 0)
     out = generate(t, 50, seed=2)
-    assert out.states == "V" * 50
+    assert out == vc_seq("V" * 50)
 
 
 def _scan_walk(rng, labels, start, rows, length):

@@ -22,7 +22,7 @@ PUBLIC = {
         "rank_order", "stability_curve",
     ],
     "markov": [
-        "BinarySequence", "EntropyReport", "MarkovTestReport", "TransitionCounts", "entropy_estimates",
+        "EntropyReport", "MarkovTestReport", "TransitionCounts", "VC_ALPHABET", "entropy_estimates",
         "fit_transitions", "generate", "independence_test", "to_vc_sequence",
     ],
     "stylometry": [
