@@ -18,11 +18,14 @@ import csv
 import functools
 import io
 import math
+from itertools import chain
 from dataclasses import dataclass, field
 
 from .alphabet import Alphabet, LetterSequence, first_foreign
 from .errors import InputError, read_text
-from .freq import DigramTable, FrequencyTable, count_digrams, count_letters, ordered_sum, rank_order
+from .freq import (
+    DigramTable, FrequencyTable, _pair_blocks, _pair_tally, count_digrams, count_letters, ordered_sum, rank_order
+)
 from .rng import substream
 
 LENGTH_WARNING_THRESHOLD = 90
@@ -283,8 +286,9 @@ def score(seq: LetterSequence, model: LanguageModel) -> float:
         raise InputError("alphabet mismatch")
     if len(seq.symbols) == 0:
         raise InputError("empty sequence")
-    codes = seq._codes
-    return ordered_sum(model._log_probs[codes[:-1], codes[1:]].tolist())
+    logp = model._log_probs.ravel()  # indexed by pair code
+    blocks = _pair_blocks(seq._codes, len(seq.alphabet))
+    return ordered_sum(chain.from_iterable(logp.take(pairs).tolist() for _, pairs in blocks))
 
 
 def _swap_plan(ndig: np.ndarray, logp: np.ndarray):
@@ -369,8 +373,7 @@ def hill_climb_solve(
     ab, size = c.alphabet, len(c.symbol_set)
     logp = model._log_probs
     stand_in = LetterSequence(ab, c.symbols.translate(str.maketrans("".join(c.symbol_set), "".join(ab.letters))))
-    pairs = np.multiply(stand_in._codes[:-1], size, dtype=np.intp) + stand_in._codes[1:]
-    ndig = np.bincount(pairs, minlength=size * size).reshape(size, size).astype(float)
+    ndig = _pair_tally(stand_in._codes, size).reshape(size, size).astype(float)
     inverse = frequency_match_key(count_letters(stand_in), model.unigram).inverse()
     matched = np.array([ab.index(inverse[letter]) for letter in ab.letters], dtype=np.intp)
 

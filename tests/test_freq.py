@@ -1,9 +1,12 @@
 import copy
+import functools
 import math
 import pickle
 import random
+import tracemalloc
 from collections import Counter
 from statistics import NormalDist
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,6 +16,7 @@ from letterlab import (
     DigramTable,
     FrequencyTable,
     InputError,
+    LanguageModel,
     LetterSequence,
     PositionalStats,
     WordSequence,
@@ -30,6 +34,7 @@ from letterlab import (
     tokenize_words,
 )
 from letterlab import alphabet as alphabet_module
+from letterlab.freq import _pair_tally
 from letterlab.rng import substream
 
 from conftest import read_data
@@ -553,3 +558,90 @@ def test_stability_curve_errors(en):
         stability_curve(s, [0])
     with pytest.raises(InputError):
         stability_curve(s, [1, 4], seed=1)
+
+
+# 300 letters, so codes and pair codes take two bytes each
+CJK = Alphabet("cjk", tuple(chr(0x4E00 + i) for i in range(300)), frozenset("\u4e00"))
+
+
+def pool(ab: Alphabet) -> tuple[str, ...]:
+    """Letters the block tests draw from: the last ones too, whose pair codes overflow one byte."""
+    return ab.letters[:3] + ab.letters[-2:]
+
+
+@functools.cache
+def pool_model(ab: Alphabet) -> LanguageModel:
+    return LanguageModel.train(LetterSequence(ab, "".join(pool(ab)) * 2))
+
+
+def check_blocked_passes(ab: Alphabet, words: list[str], block: int) -> None:
+    """Encoding and every count, made `block` characters or codes at a time,
+    equal their per-character references."""
+    s = "".join(words)
+    with mock.patch.object(alphabet_module, "BLOCK", block):
+        sequence = LetterSequence(ab, s)
+        assert sequence._codes.tolist() == [ab.index(ch) for ch in s]
+        framed = ab.separator.join(("", *words, ""))
+        assert ab._encode(framed).tolist() == [len(ab) if ch == ab.separator else ab.index(ch) for ch in framed]
+        assert count_letters(sequence).counts == {ch: s.count(ch) for ch in ab.letters}
+        pairs = Counter(zip(s, s[1:]))
+        digrams = count_digrams(sequence)
+        assert list(digrams.counts.items()) == list(pairs.items()) and digrams.total == max(0, len(s) - 1)
+        tally = _pair_tally(sequence._codes, len(ab)).tolist()
+        assert {ab._pairs[p]: n for p, n in enumerate(tally) if n} == pairs
+        ws = WordSequence(ab, tuple(words))
+        assert positional_stats(ws) == positional_reference(ws)
+        if s:
+            model = pool_model(ab)
+            total = 0.0  # added left to right, as score adds
+            for x, y in zip(s, s[1:]):
+                total += model._log_probs[ab.index(x), ab.index(y)]
+            assert score(sequence, model) == total
+            full = FrequencyTable.from_counts(ab, Counter(s))
+            sizes = list(range(1, len(s) + 1))
+            expected = [(k, compare_tables(FrequencyTable.from_counts(ab, Counter(s[:k])), full)) for k in sizes]
+            assert stability_curve(sequence, sizes) == expected
+
+
+@pytest.mark.parametrize("ab", [builtin_alphabet("en"), builtin_alphabet("la"), CJK], ids=["en", "la", "cjk"])
+@given(block=st.sampled_from([1, 2, 3, 5]), data=st.data())
+def test_blocked_passes_match_per_character_references(ab, block, data):
+    words = data.draw(st.lists(st.text(alphabet=pool(ab), min_size=1, max_size=5), max_size=8))
+    check_blocked_passes(ab, words, block)
+
+
+@pytest.mark.parametrize(
+    "words, block",
+    [
+        (["ab", "ba"], 2),  # bb spans the codes' block boundary; ba is first seen in the second block
+        (["zz", "az"], 2),  # az, first seen in the second block, has a lower code than both pairs before it
+        (["zaz"], 1),  # one pair a block
+        (["abcab", "zab"], 3),  # ab repeats in later blocks; its first offset stays 0
+        (["qqqqq", "a"], 5),  # qa, the last pair of a full block, reads the first code past it
+    ],
+)
+def test_pairs_across_block_boundaries(en, words, block):
+    check_blocked_passes(en, words, block)
+
+
+def test_counting_temporaries_do_not_grow_with_the_text(en, training_corpus):
+    # 2M letters, so one intp temporary of the whole text (16 MB) would be far over the bound
+    n = 2_000_000
+    s = (training_corpus.symbols * (n // len(training_corpus) + 1))[:n]
+    fresh, counted = LetterSequence(en, s), LetterSequence(en, s)
+    count_letters(counted)  # encodes it, and imports numpy, outside the traced calls
+    calls = {
+        "_codes": lambda: fresh._codes,
+        "count_letters": lambda: count_letters(counted),
+        "count_digrams": lambda: count_digrams(counted),
+        "LanguageModel.train": lambda: LanguageModel.train(counted),
+        "stability_curve": lambda: stability_curve(counted, [n]),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            kept = call()  # held while `now` is read, so `now` is what the call keeps
+            now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - now < 4 * 2**20, f"{name}: {peak - now} bytes of temporaries"
