@@ -9,8 +9,9 @@ alphabet spec, empty corpus), 2 usage error.
 Every subcommand is one :class:`Command` entry of :data:`COMMANDS`: its
 arguments, its default format, and a function from the parsed arguments
 to a :class:`Report`, which renders itself in each of :data:`FORMATS`.
-Each such function imports the analysis modules it calls, so a process
-loads only what its command runs.
+Those functions reach the analyses through the package's lazy exports
+(`L.count_letters`), so a process loads only the modules its command runs;
+they import a module by hand only for a name the package does not export.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ import sys
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
-from . import __version__
-from .alphabet import Alphabet, builtin_alphabet, builtin_names, load_alphabet, normalize, tokenize_words
+import letterlab as L
+
+from .alphabet import CONSONANT, VOWEL, Alphabet, builtin_alphabet, builtin_names, load_alphabet, normalize
 from .errors import InputError, read_text
 
 FORMATS = ("csv", "json", "text")
@@ -94,11 +96,9 @@ def _corpus(args: argparse.Namespace, path: str, parse=normalize):
 
 
 def _count(args) -> Report:
-    from .freq import count_letters, rank_order
-
-    table = count_letters(_corpus(args, args.input))
+    table = L.count_letters(_corpus(args, args.input))
     ab = table.alphabet
-    ranks = rank_order(table)
+    ranks = L.rank_order(table)
     rank_of = {ch: i + 1 for i, ch in enumerate(ranks)}
     return Report(
         ["letter", "count", "proportion", "rank"],
@@ -116,9 +116,7 @@ def _count(args) -> Report:
 
 
 def _digrams(args) -> Report:
-    from .freq import count_digrams
-
-    table = count_digrams(_corpus(args, args.input))
+    table = L.count_digrams(_corpus(args, args.input))
     counts, total, pairs = table.counts, table.total, table._ordered_pairs()
     ranked = sorted(((pair, counts[pair]) for pair in pairs), key=lambda kv: -kv[1])
     return Report(
@@ -130,10 +128,8 @@ def _digrams(args) -> Report:
 
 
 def _compare(args) -> Report:
-    from .freq import compare_tables, count_letters
-
-    a, b = count_letters(_corpus(args, args.input0)), count_letters(_corpus(args, args.input1))
-    d = compare_tables(a, b)
+    a, b = L.count_letters(_corpus(args, args.input0)), L.count_letters(_corpus(args, args.input1))
+    d = L.compare_tables(a, b)
     return _record(
         asdict(d),
         [
@@ -145,10 +141,8 @@ def _compare(args) -> Report:
 
 
 def _stability(args) -> Report:
-    from .freq import stability_curve
-
     seq = _corpus(args, args.input)
-    curve = stability_curve(seq, list(args.sizes), seed=args.seed if args.random else None)
+    curve = L.stability_curve(seq, list(args.sizes), seed=args.seed if args.random else None)
     return _table(
         ["size", "total_variation", "chi_square", "rank_correlation"],
         [{"size": size, **asdict(d)} for size, d in curve],
@@ -158,11 +152,9 @@ def _stability(args) -> Report:
 
 
 def _positions(args) -> Report:
-    from .freq import positional_stats
-
-    words = _corpus(args, args.input, tokenize_words)
+    words = _corpus(args, args.input, L.tokenize_words)
     ab = words.alphabet
-    ps = positional_stats(words)
+    ps = L.positional_stats(words)
     sections = {name: getattr(ps, name).counts for name in ("initial", "final", "second", "penultimate")}
     sections["double"] = ps.doubles
     lines = [f"words: {ps.word_count}"]
@@ -191,9 +183,7 @@ def _opt6(v: float | int | None) -> str:
 
 
 def _style_vc(args) -> Report:
-    from .stylometry import vc_profile
-
-    p = vc_profile(_corpus(args, args.input))
+    p = L.vc_profile(_corpus(args, args.input))
     return _record(
         {
             "vowel_count": p.vowel_count,
@@ -212,9 +202,9 @@ def _style_vc(args) -> Report:
 
 
 def _style_alberti(args) -> Report:
-    from .stylometry import ORATOR_THRESHOLD, POETRY_THRESHOLD, alberti_test, vc_profile
+    from .stylometry import ORATOR_THRESHOLD, POETRY_THRESHOLD
 
-    v = alberti_test(vc_profile(_corpus(args, args.input)))
+    v = L.alberti_test(L.vc_profile(_corpus(args, args.input)))
     share6 = f"{float(v.vowel_share):.6f}"
     poetry, orator = str(v.above_poetry_threshold).lower(), str(v.above_orator_threshold).lower()
     return Report(
@@ -239,17 +229,15 @@ def _style_alberti(args) -> Report:
 
 
 def _style_compare(args) -> Report:
-    from .stylometry import two_sample_proportion_test, vc_profile
-
-    a, b = vc_profile(_corpus(args, args.input0)), vc_profile(_corpus(args, args.input1))
-    z, p = two_sample_proportion_test(a, b)
+    a, b = L.vc_profile(_corpus(args, args.input0)), L.vc_profile(_corpus(args, args.input1))
+    z, p = L.two_sample_proportion_test(a, b)
     return _record({"z": z, "p_value": p}, [f"z statistic: {_num(z)}", f"two-sided p: {_num(p)}"])
 
 
 def _style_compass(args) -> Report:
-    from .stylometry import blocks_of, compass_of_variation
+    from .stylometry import blocks_of
 
-    s = compass_of_variation(blocks_of(_corpus(args, args.input), block_size=args.block_size))
+    s = L.compass_of_variation(blocks_of(_corpus(args, args.input), block_size=args.block_size))
     return _record(
         asdict(s),
         [
@@ -263,12 +251,9 @@ def _style_compass(args) -> Report:
 
 
 def _lipogram(args) -> Report:
-    from .freq import count_letters
-    from .stylometry import lipogram_scan
-
-    observed = count_letters(_corpus(args, args.input))
-    reference = count_letters(_corpus(args, args.reference))
-    flags = lipogram_scan(observed, reference, alpha=args.alpha)
+    observed = L.count_letters(_corpus(args, args.input))
+    reference = L.count_letters(_corpus(args, args.reference))
+    flags = L.lipogram_scan(observed, reference, alpha=args.alpha)
     lines = [f"{len(flags)} letter(s) flagged at alpha {_num(args.alpha)} (Bonferroni-corrected):"]
     lines += [
         f"  {f.letter}: observed {f.observed}, expected {f.expected:.1f}, p {_num(f.p_value)}" for f in flags
@@ -284,15 +269,14 @@ def _lipogram(args) -> Report:
 
 
 def _markov_test(args) -> Report:
-    from .markov import STATES, fit_transitions, independence_test, to_vc_sequence
-
-    rep = independence_test(fit_transitions(to_vc_sequence(_corpus(args, args.input))))
+    states = (VOWEL, CONSONANT)
+    rep = L.independence_test(L.fit_transitions(L.to_vc_sequence(_corpus(args, args.input))))
     p = rep.transition_probabilities
     d = {
         "chi_square": rep.chi_square,
         "df": rep.degrees_of_freedom,
         "p_value": rep.p_value,
-        **{f"p_{a}{b}".lower(): p[a, b] for a in STATES for b in STATES},
+        **{f"p_{a}{b}".lower(): p[a, b] for a in states for b in states},
     }
     return _record(
         d,
@@ -306,11 +290,8 @@ def _markov_test(args) -> Report:
 
 
 def _entropy(args) -> Report:
-    from .freq import count_digrams, count_letters
-    from .markov import entropy_estimates
-
     seq = _corpus(args, args.input)
-    rep = entropy_estimates(count_letters(seq), count_digrams(seq))
+    rep = L.entropy_estimates(L.count_letters(seq), L.count_digrams(seq))
     return _record(
         asdict(rep),
         [
@@ -322,22 +303,18 @@ def _entropy(args) -> Report:
 
 
 def _generate(args) -> Report:
-    from .markov import fit_transitions, generate, to_vc_sequence
-
     if (args.model is None) == (args.vc_corpus is None):
         raise InputError("generate requires exactly one of --model or --vc-corpus")
     if args.model is not None:
-        from .cipher import LanguageModel
-
         order = 1 if args.order is None else args.order
-        model = LanguageModel.load(args.model, args.alphabet)
-        sequence = generate(model, args.length, seed=args.seed, order=order).symbols
+        model = L.LanguageModel.load(args.model, args.alphabet)
+        sequence = L.generate(model, args.length, seed=args.seed, order=order).symbols
         mode = f"order-{order}"
     else:
         if args.order is not None:
             raise InputError("generate --order applies to --model only")
-        chain = fit_transitions(to_vc_sequence(_corpus(args, args.vc_corpus)))
-        sequence = generate(chain, args.length, seed=args.seed).symbols
+        chain = L.fit_transitions(L.to_vc_sequence(_corpus(args, args.vc_corpus)))
+        sequence = L.generate(chain, args.length, seed=args.seed).symbols
         mode, order = "vc-chain", ""
     return Report(
         ["mode", "order", "length", "seed", "sequence"],
@@ -348,11 +325,9 @@ def _generate(args) -> Report:
 
 
 def _zipf(args) -> Report:
-    from .zipf import fit_power_law, word_rank_frequency
-
-    rf = word_rank_frequency(_corpus(args, args.input, tokenize_words))
+    rf = L.word_rank_frequency(_corpus(args, args.input, L.tokenize_words))
     try:
-        fit = fit_power_law(rf, min_count=args.min_count)
+        fit = L.fit_power_law(rf, min_count=args.min_count)
     except InputError:
         fit = None
     lines = [f"{len(rf.entries)} distinct words, {rf.total} tokens; top 10:"]
@@ -379,12 +354,10 @@ def _zipf(args) -> Report:
 
 
 def _solve(args) -> Report:
-    from .cipher import LanguageModel, hill_climb_solve, parse_cryptogram
-
     ab = args.alphabet
-    model = LanguageModel.load(args.model, ab)
-    cryptogram = _corpus(args, args.input, parse_cryptogram)
-    report = hill_climb_solve(
+    model = L.LanguageModel.load(args.model, ab)
+    cryptogram = _corpus(args, args.input, L.parse_cryptogram)
+    report = L.hill_climb_solve(
         cryptogram, model, restarts=args.restarts, seed=args.seed, warning_threshold=args.length_threshold
     )
     warning = report.length_warning
@@ -420,12 +393,10 @@ def _solve(args) -> Report:
 
 
 def _train_model(args) -> Report:
-    from .cipher import LanguageModel
-
     seq = _corpus(args, args.input)
     if len(seq) == 0:
         raise InputError("empty corpus")
-    model = LanguageModel.train(seq)
+    model = L.LanguageModel.train(seq)
     upath, dpath = model.save(args.out)
     letters, digrams = model.unigram.total, model.digram.total
     return Report(
@@ -540,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="letterlab",
         description="Letter counting, frequency cryptanalysis, stylometry, and text statistics.",
     )
-    parser.add_argument("--version", action="version", version=f"letterlab {__version__}")
+    parser.add_argument("--version", action="version", version=f"letterlab {L.__version__}")
     subparsers = {"": parser.add_subparsers(dest="subcommand", required=True)}
     for command in COMMANDS:
         group, _, leaf = command.name.rpartition(" ")

@@ -65,9 +65,9 @@ class DigramTable:
         # checked in C; the loop runs only to name the first bad entry
         if not (self.counts.keys() <= self.alphabet._pair_set and min(self.counts.values(), default=0) >= 0):
             for key, n in self.counts.items():
-                a, b = key
-                if (a, b) != key:  # a two-letter string unpacks too
+                if not (isinstance(key, tuple) and len(key) == 2):  # a two-letter string would unpack
                     raise InputError(f"digram key {key!r} is not a pair")
+                a, b = key
                 if a not in self.alphabet._index or b not in self.alphabet._index:
                     raise InputError(f"pair ({a!r},{b!r}) not in alphabet {self.alphabet.name!r}")
                 if n < 0:

@@ -18,6 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain
 
+from . import alphabet as _alphabet  # BLOCK is read through the module at each call
 from .alphabet import CONSONANT, VOWEL, Alphabet, LetterSequence
 from .errors import InputError
 from .freq import DigramTable, FrequencyTable, ordered_sum
@@ -28,8 +29,6 @@ STATES = (VOWEL, CONSONANT)
 VC_ALPHABET = Alphabet("vc", STATES, frozenset({VOWEL}))
 # a walk draws one label at a time in Python, so the length bounds its time
 MAX_GENERATE_LENGTH = 10_000_000
-# draws per block of rng.floats, so a walk's memory does not grow with its length
-_DRAW_BLOCK = 65_536
 
 
 @dataclass(frozen=True)
@@ -197,7 +196,9 @@ def _walk(rng: SplitMix64, labels, start: list[float], rows: list, length: int) 
     cumulative = [None if r is None else [*accumulate(r[:-1]), math.inf] for r in rows]
     out = []
     cum = None if start is None else [*accumulate(start[:-1]), math.inf]
-    blocks = (rng.floats(min(_DRAW_BLOCK, length - b)) for b in range(0, length, _DRAW_BLOCK))
+    # BLOCK draws at a time, so a walk's memory does not grow with its length
+    block = _alphabet.BLOCK
+    blocks = (rng.floats(min(block, length - b)) for b in range(0, length, block))
     for u in chain.from_iterable(blocks):
         if cum is None:
             raise InputError(f"non-normalizable row for state {out[-1]!r}")

@@ -100,20 +100,21 @@ def test_digram_table_messages(en, counts, total, message):
 
 
 @pytest.mark.parametrize(
-    "key, error, message",
+    "key",
     [
-        (("a", "b", "c"), ValueError, "too many values to unpack"),
-        (("a",), ValueError, "not enough values to unpack"),
-        (5, TypeError, "cannot unpack non-iterable int object"),
+        ("a", "b", "c"),
+        ("a",),
+        5,
         # unpacks like ("a", "b"), yet count("a", "b") would never find it
-        ("ab", InputError, "^digram key 'ab' is not a pair$"),
+        "ab",
     ],
     ids=["three", "one", "int", "two-letter-string"],
 )
-def test_digram_table_key_that_is_not_a_pair(en, key, error, message):
+def test_digram_table_key_that_is_not_a_pair(en, key):
     # keyed after a good pair: the per-pair loop reaches it as it always did
-    with pytest.raises(error, match=message):
+    with pytest.raises(InputError) as excinfo:
         DigramTable(en, {("a", "b"): 1, key: 1}, 2)
+    assert str(excinfo.value) == f"digram key {key!r} is not a pair"
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 """Byte-for-byte CLI golden outputs.
 
 `tests/golden/cli.json` holds, for every invocation in `invocations()`,
-the exit status and the exact stdout of `main(argv)`. Every invocation
+the exit status and the exact stdout and stderr of `main(argv)`; of a
+usage error (exit 2) only the last stderr line is kept, because argparse
+wraps the usage lines above it to the terminal width. Every invocation
 runs inside a scratch directory that `prepare()` fills from the
 committed fixtures, so every path in the argv lists (and every path
 that `train-model` echoes) is relative and the file does not depend on
@@ -82,7 +84,7 @@ COMMANDS = [
     ["solve", "cipher.txt", "--model", "model", "--restarts", "2", "--length-threshold", "1000"],
 ]
 
-# usage and data errors: exit status pinned, stdout must stay empty
+# usage and data errors: exit status and message pinned, stdout must stay empty
 ERRORS = [
     ["count"],
     ["count", "missing.txt"],
@@ -107,7 +109,10 @@ def run(argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    return {"argv": argv, "exit": code, "stdout": out.getvalue()}
+    stderr = err.getvalue()
+    if code == 2:
+        stderr = "".join(stderr.splitlines(keepends=True)[-1:])
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": stderr}
 
 
 LONG_MIN, LONG_MAX = -(1 << 63), (1 << 63) - 1

@@ -20,7 +20,8 @@ from letterlab import (
     to_vc_sequence,
     vc_profile,
 )
-from letterlab.markov import _DRAW_BLOCK, _walk, chi_square_tail_df1
+from letterlab.alphabet import BLOCK
+from letterlab.markov import _walk, chi_square_tail_df1
 from letterlab.rng import SplitMix64
 
 
@@ -299,6 +300,6 @@ def test_walk_draws_match_linear_scan():
             rows.append([w * scale for w in weights])
         start = rows[rng.randrange(len(rows))]
         # every 100th walk runs past the end of its first block of draws
-        length = _DRAW_BLOCK + 7 if trial % 100 == 0 else 60
+        length = BLOCK + 7 if trial % 100 == 0 else 60
         want = _scan_walk(SplitMix64(trial), labels, start, rows, length)
         assert _walk(SplitMix64(trial), labels, start, rows, length) == want

@@ -1,6 +1,6 @@
 import pytest
 
-from letterlab.markov import _DRAW_BLOCK
+from letterlab.alphabet import BLOCK
 from letterlab.rng import SplitMix64
 
 
@@ -17,7 +17,7 @@ def test_splitmix64_known_answers():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
-@pytest.mark.parametrize("count", [0, 1, _DRAW_BLOCK + 3])
+@pytest.mark.parametrize("count", [0, 1, BLOCK + 3])
 def test_block_floats_match_single_draws(seed, count):
     block, single = SplitMix64(seed), SplitMix64(seed)
     floats = block.floats(count)
