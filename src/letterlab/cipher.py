@@ -155,7 +155,7 @@ class LanguageModel:
         ucounts = _model_table(f"{prefix}.unigram.csv", "unigram", ["letter", "count"], alphabet)
         dcounts = _model_table(f"{prefix}.digram.csv", "digram", ["first", "second", "count"], alphabet)
         unigram = FrequencyTable.from_counts(alphabet, {letter: n for (letter,), n in ucounts.items()})
-        return cls(unigram, DigramTable(alphabet, dcounts, sum(dcounts.values())))
+        return cls(unigram, DigramTable(alphabet, dcounts))
 
 
 def _model_table(path: str, kind: str, header: list[str], alphabet: Alphabet) -> dict[tuple[str, ...], int]:

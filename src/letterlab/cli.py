@@ -88,8 +88,10 @@ def _resolve_alphabet(name_or_path: str) -> Alphabet:
 
 
 def _corpus(args: argparse.Namespace, path: str, parse=normalize):
-    """`parse` (normalize, tokenize_words or parse_cryptogram) of `path` over --alphabet."""
-    return parse(read_text(path), args.alphabet, source=path)
+    """`parse` (normalize, tokenize_words or parse_cryptogram) of `path` over --alphabet; stdin is read once a run."""
+    if path == "-" and args.stdin is None:
+        args.stdin = read_text(path)
+    return parse(args.stdin if path == "-" else read_text(path), args.alphabet, source=path)
 
 
 # ---------------------------------------------------------------- tables
@@ -540,7 +542,7 @@ def main(argv: list[str] | None = None) -> int:
         if not 0 <= args.seed < SEED_LIMIT:
             raise InputError(f"seed must be in 0..{SEED_LIMIT - 1}, got {args.seed}")
         # the builtin name or spec file path becomes the Alphabet every command uses
-        args.alphabet = _resolve_alphabet(args.alphabet)
+        args.alphabet, args.stdin = _resolve_alphabet(args.alphabet), None
         sys.stdout.write(args.command.run(args).render(args.format))
         return 0
     except (InputError, OSError) as exc:

@@ -20,30 +20,41 @@ from .errors import InputError
 from .rng import substream
 
 
+def _total(counts: dict, keys_ok: bool = True, check_key=lambda key: None) -> int:
+    """Sum of `counts`, each a nonnegative integer: one that operator.index takes, so numpy's too. The
+    sum is an int exactly when every count is one, so the loop runs only to name the first bad entry."""
+    try:
+        if type(total := sum(counts.values())) is int and keys_ok and min(counts.values(), default=0) >= 0:
+            return total
+    except TypeError:  # a count that sum() cannot add
+        pass
+    for key, n in counts.items():
+        check_key(key)
+        if not hasattr(type(n), "__index__"):
+            raise InputError(f"count {n!r} of {key!r} is not an integer")
+        if n < 0:
+            raise InputError("negative count")
+    return sum(map(int, counts.values()))
+
+
 @dataclass(frozen=True)
 class FrequencyTable:
-    """Counts per letter. Every alphabet letter is keyed, zeros included."""
+    """Counts per letter. Every alphabet letter is keyed, zeros included; `total`, their sum, is computed."""
 
     alphabet: Alphabet
     counts: dict[str, int]
-    total: int
+    total: int = field(init=False)
 
     def __post_init__(self):
         if self.counts.keys() != self.alphabet._index.keys():
             raise InputError("counts must key every alphabet letter exactly once")
-        if min(self.counts.values()) < 0:
-            raise InputError("negative count")
-        if self.total != sum(self.counts.values()):
-            raise InputError("total does not match counts")
+        object.__setattr__(self, "total", _total(self.counts))  # not via __dict__, which slows every read
 
     @classmethod
     def from_counts(cls, alphabet: Alphabet, counts: dict[str, int]) -> "FrequencyTable":
-        full = {ch: 0 for ch in alphabet.letters}
-        for ch, n in counts.items():
-            if ch not in full:
-                raise InputError(f"letter {ch!r} not in alphabet {alphabet.name!r}")
-            full[ch] = n
-        return cls(alphabet, full, sum(full.values()))
+        if foreign := [ch for ch in counts if ch not in alphabet._index]:
+            raise InputError(f"letter {foreign[0]!r} not in alphabet {alphabet.name!r}")
+        return cls(alphabet, {ch: counts.get(ch, 0) for ch in alphabet.letters})
 
     @classmethod
     def empty(cls, alphabet: Alphabet) -> "FrequencyTable":
@@ -55,25 +66,22 @@ class FrequencyTable:
 
 @dataclass(frozen=True)
 class DigramTable:
-    """Counts per ordered letter pair; pairs never seen are simply absent."""
+    """Counts per ordered letter pair, pairs never seen absent; `total`, their sum, is computed."""
 
     alphabet: Alphabet
     counts: dict[tuple[str, str], int]
-    total: int
+    total: int = field(init=False)
 
     def __post_init__(self):
-        # checked in C; the loop runs only to name the first bad entry
-        if not (self.counts.keys() <= self.alphabet._pair_set and min(self.counts.values(), default=0) >= 0):
-            for key, n in self.counts.items():
-                if not (isinstance(key, tuple) and len(key) == 2):  # a two-letter string would unpack
-                    raise InputError(f"digram key {key!r} is not a pair")
-                a, b = key
-                if a not in self.alphabet._index or b not in self.alphabet._index:
-                    raise InputError(f"pair ({a!r},{b!r}) not in alphabet {self.alphabet.name!r}")
-                if n < 0:
-                    raise InputError("negative count")
-        if self.total != sum(self.counts.values()):
-            raise InputError("total does not match counts")
+        keys_ok = self.counts.keys() <= self.alphabet._pair_set
+        object.__setattr__(self, "total", _total(self.counts, keys_ok, self._check_pair))
+
+    def _check_pair(self, key) -> None:
+        if not (isinstance(key, tuple) and len(key) == 2):  # a two-letter string would unpack
+            raise InputError(f"digram key {key!r} is not a pair")
+        a, b = key
+        if a not in self.alphabet._index or b not in self.alphabet._index:
+            raise InputError(f"pair ({a!r},{b!r}) not in alphabet {self.alphabet.name!r}")
 
     def count(self, first: str, second: str) -> int:
         return self.counts.get((first, second), 0)
@@ -117,15 +125,18 @@ class TableDistance:
 
 @dataclass(frozen=True)
 class PositionalStats:
-    """Per-word letter placement tallies: first, last, second, penultimate
-    positions, plus counts of immediate doublings inside words."""
+    """Per-word letter placement tallies: first, last, second, penultimate positions, plus counts
+    of immediate doublings inside words. `word_count` is computed: it is `initial.total`."""
 
     initial: FrequencyTable
     final: FrequencyTable
     second: FrequencyTable
     penultimate: FrequencyTable
     doubles: dict[str, int]
-    word_count: int = field(default=0)
+    word_count: int = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "word_count", self.initial.total)
 
 
 def _tally(alphabet: Alphabet, codes: np.ndarray) -> FrequencyTable:
@@ -136,7 +147,7 @@ def _tally(alphabet: Alphabet, codes: np.ndarray) -> FrequencyTable:
     counts = np.bincount(codes[:block], minlength=size)
     for i in range(block, len(codes), block):
         counts += np.bincount(codes[i : i + block], minlength=size)
-    return FrequencyTable(alphabet, dict(zip(alphabet.letters, counts.tolist())), len(codes))
+    return FrequencyTable(alphabet, dict(zip(alphabet.letters, counts.tolist())))
 
 
 def count_letters(seq: LetterSequence) -> FrequencyTable:
@@ -182,9 +193,7 @@ def count_digrams(seq: LetterSequence) -> DigramTable:
     """Count overlapping adjacent pairs, keyed by first occurrence; total is max(0, len - 1).
 
     The pairs are coded and counted BLOCK at a time, so the temporaries stay
-    the same size however long the text: ``letterlab digrams`` on a 16 MB
-    text peaks at about 56 MB of resident memory, where coding all its pairs
-    at once took 261 MB.
+    the same size however long the text (see :mod:`letterlab.alphabet`).
     """
     import numpy as np
 
@@ -194,25 +203,21 @@ def count_digrams(seq: LetterSequence) -> DigramTable:
     seen = np.flatnonzero(first < n)
     order = seen[np.argsort(first[seen])].tolist()
     names = seq.alphabet._pairs
-    counts = {names[p]: tally[p] for p in order}
-    return DigramTable(seq.alphabet, counts, n)
+    return DigramTable(seq.alphabet, {names[p]: tally[p] for p in order})
 
 
 def merge(a, b):
     """Pointwise sum of two tables of the same kind over the same alphabet."""
     if type(a) is not type(b):
         raise InputError("cannot merge tables of different kinds")
+    if not isinstance(a, (FrequencyTable, DigramTable)):
+        raise InputError(f"cannot merge {type(a).__name__}")
     if a.alphabet != b.alphabet:
         raise InputError("alphabet mismatch")
-    if isinstance(a, FrequencyTable):
-        counts = {ch: a.counts[ch] + b.counts[ch] for ch in a.alphabet.letters}
-        return FrequencyTable(a.alphabet, counts, a.total + b.total)
-    if isinstance(a, DigramTable):
-        counts = dict(a.counts)
-        for pair, n in b.counts.items():
-            counts[pair] = counts.get(pair, 0) + n
-        return DigramTable(a.alphabet, counts, a.total + b.total)
-    raise InputError(f"cannot merge {type(a).__name__}")
+    counts = dict(a.counts)
+    for key, n in b.counts.items():
+        counts[key] = counts.get(key, 0) + n
+    return type(a)(a.alphabet, counts)
 
 
 def rank_order(t: FrequencyTable) -> list[str]:
@@ -339,7 +344,6 @@ def positional_stats(words: WordSequence) -> PositionalStats:
         second=_tally(ab, codes[starts[long] + 1]),
         penultimate=_tally(ab, codes[ends[long] - 1]),
         doubles=_tally(ab, codes[:-1][codes[:-1] == codes[1:]]).counts,
-        word_count=len(words.words),
     )
 
 

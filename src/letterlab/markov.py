@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, chain
 
 from . import alphabet as _alphabet  # BLOCK is read through the module at each call
@@ -65,10 +65,15 @@ class TransitionCounts:
 
 @dataclass(frozen=True)
 class MarkovTestReport:
+    """2x2 independence test; `degrees_of_freedom` (always 1) and `p_value`, the tail of `chi_square`, are computed."""
+
     chi_square: float
-    degrees_of_freedom: int
-    p_value: float
+    degrees_of_freedom: int = field(init=False, default=1)
+    p_value: float = field(init=False)
     transition_probabilities: dict[tuple[str, str], float]
+
+    def __post_init__(self):
+        object.__setattr__(self, "p_value", chi_square_tail_df1(self.chi_square))
 
 
 @dataclass(frozen=True)
@@ -125,12 +130,7 @@ def independence_test(t: TransitionCounts, continuity_correction: bool = False) 
     expected = {(a, b): rows[a] * cols[b] / total for a in STATES for b in STATES}
     cells = [(max(abs(t.n[k] - e) - shift, 0.0), e) for k, e in expected.items() if e != 0.0]
     chi = ordered_sum(d * d / e for d, e in cells)
-    return MarkovTestReport(
-        chi_square=chi,
-        degrees_of_freedom=1,
-        p_value=chi_square_tail_df1(chi),
-        transition_probabilities=t.probabilities(),
-    )
+    return MarkovTestReport(chi_square=chi, transition_probabilities=t.probabilities())
 
 
 def entropy_estimates(unigram: FrequencyTable, digram: DigramTable) -> EntropyReport:

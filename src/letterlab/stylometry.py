@@ -13,7 +13,7 @@ across samples, a pooled two-proportion z-test, and a letter-avoidance
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .alphabet import LetterSequence
@@ -56,10 +56,20 @@ class VCProfile:
 
 @dataclass(frozen=True)
 class AlbertiVerdict:
+    """A vowel share and where it falls: both threshold flags and the label are computed from it."""
+
     vowel_share: Fraction
-    above_poetry_threshold: bool
-    above_orator_threshold: bool
-    label: str  # poetry-consistent | orator-consistent | below-both | boundary
+    above_poetry_threshold: bool = field(init=False)
+    above_orator_threshold: bool = field(init=False)
+    label: str = field(init=False)  # poetry-consistent | orator-consistent | below-both | boundary
+
+    def __post_init__(self):
+        share = self.vowel_share
+        poetry, orator = share > POETRY_THRESHOLD, share > ORATOR_THRESHOLD
+        object.__setattr__(self, "above_poetry_threshold", poetry)
+        object.__setattr__(self, "above_orator_threshold", orator)
+        label = "poetry-consistent" if poetry else "orator-consistent" if orator else "below-both"
+        object.__setattr__(self, "label", "boundary" if share in (POETRY_THRESHOLD, ORATOR_THRESHOLD) else label)
 
 
 @dataclass(frozen=True)
@@ -101,23 +111,7 @@ def alberti_test(p: VCProfile) -> AlbertiVerdict:
     """
     if p.total == 0:
         raise InputError("empty profile")
-    share = Fraction(p.vowel_count, p.total)
-    above_poetry = share > POETRY_THRESHOLD
-    above_orator = share > ORATOR_THRESHOLD
-    if share == POETRY_THRESHOLD or share == ORATOR_THRESHOLD:
-        label = "boundary"
-    elif above_poetry:
-        label = "poetry-consistent"
-    elif above_orator:
-        label = "orator-consistent"
-    else:
-        label = "below-both"
-    return AlbertiVerdict(
-        vowel_share=share,
-        above_poetry_threshold=above_poetry,
-        above_orator_threshold=above_orator,
-        label=label,
-    )
+    return AlbertiVerdict(Fraction(p.vowel_count, p.total))
 
 
 def two_sample_proportion_test(a: VCProfile, b: VCProfile) -> tuple[float, float]:

@@ -217,7 +217,7 @@ def test_score_prefers_its_own_training_text(en):
     trained = LanguageModel.train(ab_text)
     empty = LanguageModel(
         unigram=FrequencyTable.empty(en),
-        digram=DigramTable(en, {}, 0),
+        digram=DigramTable(en, {}),
     )
     assert score(ab_text, trained) > score(ab_text, empty)
 
@@ -226,7 +226,7 @@ def test_score_uniform_model_closed_form(en):
     # a model with no observations scores every pair at log(1/26)
     empty = LanguageModel(
         unigram=FrequencyTable.empty(en),
-        digram=DigramTable(en, {}, 0),
+        digram=DigramTable(en, {}),
     )
     seq = normalize("lettercounting", en)
     expected = (len(seq.symbols) - 1) * math.log(1 / 26)
@@ -312,7 +312,6 @@ def test_score_invariant_under_relabeling(en, training_model):
     dig2 = DigramTable(
         en,
         {(relabel[a], relabel[b]): n for (a, b), n in training_model.digram.counts.items()},
-        training_model.digram.total,
     )
     model2 = LanguageModel(unigram=uni2, digram=dig2, smoothing=training_model.smoothing)
     assert score(seq, training_model) == score(seq2, model2)
@@ -734,7 +733,7 @@ def test_solver_matches_the_always_rescoring_sweep(alphabet, training):
     rng = random.Random(f"{alphabet} {training}")
     text, corpus = solver_texts(ab, rng)
     if training == "empty":
-        model = LanguageModel(FrequencyTable.empty(ab), DigramTable(ab, {}, 0))
+        model = LanguageModel(FrequencyTable.empty(ab), DigramTable(ab, {}))
     else:
         train = {"full": corpus.symbols, "short": "".join(rng.choices(ab.letters, k=rng.randint(2, 12)))}
         model = LanguageModel.train(LetterSequence(ab, train.get(training, ab.letters[-1])))
@@ -1108,7 +1107,7 @@ def test_model_file_decode_error_counts_bytes_from_the_file_start(tmp_path, en):
 def test_model_save_load_round_trip_quotes_cells_and_keeps_zero_pairs(tmp_path):
     ab = Alphabet(name="punct", letters=("a", ",", '"'), vowels=frozenset("a"))
     pairs = {('"', "a"): 2, ("a", ","): 0, (",", '"'): 3, ("a", "a"): 0}
-    model = LanguageModel(FrequencyTable.from_counts(ab, {"a": 2, ",": 0, '"': 3}), DigramTable(ab, pairs, 5))
+    model = LanguageModel(FrequencyTable.from_counts(ab, {"a": 2, ",": 0, '"': 3}), DigramTable(ab, pairs))
     upath, dpath = model.save(str(tmp_path / "p"))
     with open(upath, encoding="utf-8", newline="") as fh:
         assert fh.read() == 'letter,count\r\na,2\r\n",",0\r\n"""",3\r\n'

@@ -218,6 +218,25 @@ def test_stdin_input(capsys, monkeypatch):
     assert json.loads(out)["counts"]["l"] == 3
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["compare", "-", "-"], "total variation:  0.000000"),
+        (["style", "compare", "-", "-"], "z statistic: 0"),
+        (["lipogram", "-", "--reference", "-"], "letter,observed,expected,p_value"),
+    ],
+    ids=["compare", "style-compare", "lipogram"],
+)
+def test_a_second_stdin_input_reads_the_same_text(capsys, monkeypatch, argv, line):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"hello world"), encoding="utf-8"))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and line in out.splitlines()
+    # each run of main reads the standard input it finds
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"zzz"), encoding="utf-8"))
+    code, out, _ = run_cli(capsys, "count", "-", "--format", "json")
+    assert code == 0 and json.loads(out)["counts"]["z"] == 3
+
+
 def test_exit_code_2_on_usage_error(capsys):
     assert main(["count"]) == 2  # missing input
     capsys.readouterr()

@@ -5,9 +5,11 @@ import pickle
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from statistics import NormalDist
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -81,21 +83,19 @@ def test_count_digrams_single_letter(en):
 
 
 @pytest.mark.parametrize(
-    "counts, total, message",
+    "counts, message",
     [
-        ({("a", "b"): 1, ("a", "é"): 1}, 2, "pair ('a','é') not in alphabet 'en'"),
-        ({("é", "a"): 1}, 1, "pair ('é','a') not in alphabet 'en'"),
-        ({("a", "b"): -1, ("a", "é"): 1}, 0, "negative count"),
-        ({("a", "é"): 1, ("a", "b"): -1}, 0, "pair ('a','é') not in alphabet 'en'"),
-        ({("a", "b"): 1}, 2, "total does not match counts"),
-        ({}, 1, "total does not match counts"),
+        ({("a", "b"): 1, ("a", "é"): 1}, "pair ('a','é') not in alphabet 'en'"),
+        ({("é", "a"): 1}, "pair ('é','a') not in alphabet 'en'"),
+        ({("a", "b"): -1, ("a", "é"): 1}, "negative count"),
+        ({("a", "é"): 1, ("a", "b"): -1}, "pair ('a','é') not in alphabet 'en'"),
     ],
-    ids=["foreign-second", "foreign-first", "negative-then-foreign", "foreign-then-negative", "total", "empty-total"],
+    ids=["foreign-second", "foreign-first", "negative-then-foreign", "foreign-then-negative"],
 )
-def test_digram_table_messages(en, counts, total, message):
+def test_digram_table_messages(en, counts, message):
     # the first bad pair in insertion order decides the message
     with pytest.raises(InputError) as excinfo:
-        DigramTable(en, counts, total)
+        DigramTable(en, counts)
     assert str(excinfo.value) == message
 
 
@@ -113,26 +113,58 @@ def test_digram_table_messages(en, counts, total, message):
 def test_digram_table_key_that_is_not_a_pair(en, key):
     # keyed after a good pair: the per-pair loop reaches it as it always did
     with pytest.raises(InputError) as excinfo:
-        DigramTable(en, {("a", "b"): 1, key: 1}, 2)
+        DigramTable(en, {("a", "b"): 1, key: 1})
     assert str(excinfo.value) == f"digram key {key!r} is not a pair"
 
 
 @pytest.mark.parametrize(
-    "change, total, message",
+    "change, message",
     [
-        ({"é": 1}, 1, "counts must key every alphabet letter exactly once"),
-        ({"a": None}, 0, "counts must key every alphabet letter exactly once"),
-        ({"e": -1}, -1, "negative count"),
-        ({"e": 1}, 2, "total does not match counts"),
+        ({"é": 1}, "counts must key every alphabet letter exactly once"),
+        ({"a": None}, "counts must key every alphabet letter exactly once"),
+        ({"e": -1}, "negative count"),
     ],
-    ids=["extra", "missing", "negative", "total"],
+    ids=["extra", "missing", "negative"],
 )
-def test_frequency_table_messages(en, change, total, message):
+def test_frequency_table_messages(en, change, message):
     counts = {ch: 0 for ch in en.letters} | change
     counts = {ch: n for ch, n in counts.items() if n is not None}
     with pytest.raises(InputError) as excinfo:
-        FrequencyTable(en, counts, total)
+        FrequencyTable(en, counts)
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("n", ["1", 1.5, 2.0, None, Fraction(2), np.float64(1)], ids=repr)
+def test_a_count_that_is_not_an_integer_is_an_input_error(en, n):
+    counts = {ch: 0 for ch in en.letters} | {"e": n}
+    with pytest.raises(InputError) as excinfo:
+        FrequencyTable(en, counts)
+    assert str(excinfo.value) == f"count {n!r} of 'e' is not an integer"
+    with pytest.raises(InputError) as excinfo:
+        DigramTable(en, {("a", "b"): 1, ("a", "c"): n, ("a", "d"): -1})
+    assert str(excinfo.value) == f"count {n!r} of ('a', 'c') is not an integer"
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ({("a", "b"): "x", ("a", "é"): 1}, "count 'x' of ('a', 'b') is not an integer"),
+        ({("a", "é"): "x"}, "pair ('a','é') not in alphabet 'en'"),
+        ({("a", "b"): -1, ("a", "c"): 1.5}, "negative count"),
+    ],
+    ids=["text-then-foreign", "foreign-text", "negative-then-float"],
+)
+def test_digram_count_messages_name_the_first_bad_entry(en, counts, message):
+    with pytest.raises(InputError) as excinfo:
+        DigramTable(en, counts)
+    assert str(excinfo.value) == message
+
+
+def test_numpy_integer_counts_give_an_int_total(en):
+    table = FrequencyTable(en, {ch: np.int64(2) for ch in en.letters})
+    assert table.total == 52 and type(table.total) is int
+    digrams = DigramTable(en, {("a", "b"): np.uint8(3), ("b", "a"): True})
+    assert digrams.total == 4 and type(digrams.total) is int
 
 
 @given(st.text(alphabet="abcz", max_size=60))
@@ -240,6 +272,13 @@ def test_merge_identity_and_mismatch(en):
     fr = builtin_alphabet("fr")
     with pytest.raises(InputError):
         merge(t, FrequencyTable.empty(fr))
+
+
+@pytest.mark.parametrize("value", [1, "ab", None, seq(builtin_alphabet("en"), "ab")], ids=["int", "str", "none", "sequence"])
+def test_merge_of_values_that_are_not_tables_is_an_input_error(value):
+    with pytest.raises(InputError) as excinfo:
+        merge(value, value)
+    assert str(excinfo.value) == f"cannot merge {type(value).__name__}"
 
 
 def test_merge_random_splits(en):
@@ -455,15 +494,12 @@ def positional_reference(words: WordSequence) -> PositionalStats:
         for x, y in zip(w, w[1:]):
             if x == y:
                 doubles[x] += 1
-    n = len(words.words)
-    n2 = sum(1 for w in words.words if len(w) >= 2)
     return PositionalStats(
-        initial=FrequencyTable(ab, initial, n),
-        final=FrequencyTable(ab, final, n),
-        second=FrequencyTable(ab, second, n2),
-        penultimate=FrequencyTable(ab, penult, n2),
+        initial=FrequencyTable(ab, initial),
+        final=FrequencyTable(ab, final),
+        second=FrequencyTable(ab, second),
+        penultimate=FrequencyTable(ab, penult),
         doubles=doubles,
-        word_count=n,
     )
 
 
@@ -481,6 +517,7 @@ def test_positional_stats_matches_per_word_reference(ab, data):
     words = data.draw(st.lists(st.text(alphabet=ab.letters[:3], min_size=1, max_size=6), max_size=10))
     ws = WordSequence(ab, tuple(words))
     assert positional_stats(ws) == positional_reference(ws)
+    assert positional_stats(ws).word_count == len(words)
 
 
 @pytest.mark.parametrize("words", [(), ("a",), ("b", "a", "b"), ("aaa", "ab", "bb", "a")])

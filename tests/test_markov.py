@@ -182,7 +182,7 @@ def test_entropy_uniform(en):
     from letterlab import DigramTable, FrequencyTable
 
     uni = FrequencyTable.from_counts(en, {ch: 10 for ch in en.letters})
-    dig = DigramTable(en, {(a, b): 1 for a in en.letters for b in en.letters}, 26 * 26)
+    dig = DigramTable(en, {(a, b): 1 for a in en.letters for b in en.letters})
     rep = entropy_estimates(uni, dig)
     assert math.isclose(rep.h1, math.log2(26), abs_tol=1e-9)
     assert math.isclose(rep.h2, math.log2(26), abs_tol=1e-9)
@@ -204,7 +204,7 @@ def test_entropy_empty_errors(en):
     from letterlab import DigramTable, FrequencyTable
 
     with pytest.raises(InputError):
-        entropy_estimates(FrequencyTable.empty(en), DigramTable(en, {}, 0))
+        entropy_estimates(FrequencyTable.empty(en), DigramTable(en, {}))
 
 
 def test_generate_length_zero(en, training_model):
@@ -214,7 +214,7 @@ def test_generate_length_zero(en, training_model):
     # an empty table raises only when the walk has to draw from it
     from letterlab import DigramTable, FrequencyTable
 
-    empty = LanguageModel(unigram=FrequencyTable.empty(en), digram=DigramTable(en, {}, 0))
+    empty = LanguageModel(unigram=FrequencyTable.empty(en), digram=DigramTable(en, {}))
     for order in (0, 1):
         assert generate(empty, 0, seed=1, order=order).symbols == ""
         with pytest.raises(InputError, match="empty unigram table"):
@@ -226,7 +226,7 @@ def test_generate_degenerate_unigram(en):
 
     model = LanguageModel(
         unigram=FrequencyTable.from_counts(en, {"q": 7}),
-        digram=DigramTable(en, {}, 0),
+        digram=DigramTable(en, {}),
     )
     out = generate(model, 20, seed=3, order=0)
     assert out.symbols == "q" * 20

@@ -92,7 +92,7 @@ def test_entropy_estimates(unigram, digram):
     # the digram table. Both sides are sums of at most 676 terms of at most
     # log2(676) bits, so 1e-12 relative or absolute is far above their rounding
     # (absolute for h2, a difference that is 0 when each letter fixes the next)
-    report = entropy_estimates(FrequencyTable.from_counts(EN, unigram), DigramTable(EN, digram, sum(digram.values())))
+    report = entropy_estimates(FrequencyTable.from_counts(EN, unigram), DigramTable(EN, digram))
     assert math.isclose(report.h1, stats.entropy(list(unigram.values()), base=2), rel_tol=1e-12, abs_tol=1e-12)
     first = Counter()
     for (a, _), n in digram.items():
