@@ -23,7 +23,14 @@ temporaries (code points, index arrays, pair codes) stay the same size
 however long the text is: only the code array grows with it. Counting a
 16 MB text peaks at about 56 MB of resident memory, where whole-text
 temporaries took 157 MB (``letterlab count``) and 261 MB (``letterlab
-digrams``).
+digrams``). The word path works the same way: :func:`tokenize_words`
+splits a text longer than a block a block at a time and keeps one string
+per distinct word of a block, not one per word, and the position tallies
+read the words in groups of about a block. On the same text ``letterlab
+positions`` and ``letterlab zipf`` each peak at 93 to 110 MB, where one
+string per word and whole-text word arrays took 329 and 255 to 262 MB. A
+block whose first words are all distinct, as in a word list, keeps its
+words as split: hashing them would cost time and save no memory.
 
 Alphabets can be defined in a small line-oriented document::
 
@@ -54,6 +61,10 @@ CONSONANT = "C"
 # characters or codes per block of a pass over a text; a text of at most this
 # many is passed over in one piece
 BLOCK = 65_536
+
+# words at the head of each block of a text that tokenize_words always shares;
+# the rest of the block is shared only if a word repeats among these
+SHARE_PROBE = 256
 
 
 class AlphabetSpecError(InputError):
@@ -144,7 +155,7 @@ class Alphabet:
         import numpy as np
 
         if len(symbols) <= BLOCK:
-            return self._lookup[_code_points(symbols)]
+            return self._lookup.take(_code_points(symbols))  # three times as fast as _lookup[...]
         codes = np.empty(len(symbols), self._lookup.dtype)
         for i in range(0, len(symbols), BLOCK):
             self._lookup.take(_code_points(symbols[i : i + BLOCK]), out=codes[i : i + BLOCK])
@@ -401,7 +412,30 @@ def tokenize_words(raw: str, alphabet: Alphabet, source: str = "text") -> WordSe
 
     Any character that does not map to a letter (including explicit
     discard folds, apostrophes, hyphens) ends the current word, so the
-    concatenation of the words equals ``normalize(raw).symbols``.
+    concatenation of the words equals ``normalize(raw).symbols``. A text
+    longer than BLOCK is split BLOCK characters at a time, and equal words of
+    one block are one string: a text mostly repeats a few words. Sharing
+    hashes every word, which is only worth it where words repeat, so a block
+    whose first SHARE_PROBE words are all distinct keeps the rest of its
+    words as split. A text of at most BLOCK characters is split whole and
+    shares nothing, since sharing would cost it more time than the little
+    memory it saves.
     """
-    words = raw.translate(alphabet._split).split(alphabet.separator)
-    return WordSequence(alphabet, tuple(filter(None, words)), source=source)
+    split, sep = alphabet._split, alphabet.separator
+    if len(raw) <= BLOCK:
+        return WordSequence(alphabet, tuple(filter(None, raw.translate(split).split(sep))), source=source)
+    words, head = [], []  # head: the pieces of a word that runs on past its block
+    for i in range(0, len(raw), BLOCK):
+        parts = raw[i : i + BLOCK].translate(split).split(sep)
+        head.append(parts[0])
+        if len(parts) > 1:
+            parts[0], head = "".join(head), [parts.pop()]
+            parts = list(filter(None, parts))
+            shared, probe = {}, parts[:SHARE_PROBE]  # a new dict each block, so none outgrows a block
+            words += map(shared.setdefault, probe, probe)
+            rest = parts[len(probe) :]
+            words += map(shared.setdefault, rest, rest) if len(shared) < len(probe) else rest
+    if last := "".join(head):
+        words.append(last)
+    words = tuple(words)  # the list is let go before the words are checked
+    return WordSequence(alphabet, words, source=source)

@@ -23,8 +23,9 @@ from .rng import substream
 def _total(counts: dict, keys_ok: bool = True, check_key=lambda key: None) -> int:
     """Sum of `counts`, each a nonnegative integer: one that operator.index takes, so numpy's too. The
     sum is an int exactly when every count is one, so the loop runs only to name the first bad entry."""
-    try:
-        if type(total := sum(counts.values())) is int and keys_ok and min(counts.values(), default=0) >= 0:
+    values = counts.values()
+    try:  # not min(values, default=0), whose keyword parse alone doubles the cost of a short table
+        if type(total := sum(values)) is int and keys_ok and (not values or min(values) >= 0):
             return total
     except TypeError:  # a count that sum() cannot add
         pass
@@ -331,20 +332,25 @@ def positional_stats(words: WordSequence) -> PositionalStats:
     """
     import numpy as np
 
-    ab = words.alphabet
-    # every word between two single separators, which ab._lookup codes as
-    # len(ab), so equal neighbours are always two letters of one word
-    codes = ab._encode(ab.separator.join(("", *words.words, "")))
-    gaps = np.flatnonzero(codes == len(ab))
-    starts, ends = gaps[:-1] + 1, gaps[1:] - 1
-    long = starts < ends
-    return PositionalStats(
-        initial=_tally(ab, codes[starts]),
-        final=_tally(ab, codes[ends]),
-        second=_tally(ab, codes[starts[long] + 1]),
-        penultimate=_tally(ab, codes[ends[long] - 1]),
-        doubles=_tally(ab, codes[:-1][codes[:-1] == codes[1:]]).counts,
-    )
+    ab, block, sep = words.alphabet, _alphabet.BLOCK, words.alphabet.separator
+    tallies = np.zeros((5, len(ab)), dtype=np.intp)  # initial, final, second, penultimate, doubles
+    i, step, seen = 0, 1, 0  # seen: the letters, and one separator a word, of the groups so far
+    while i < len(words):
+        # a group of words between single separators, which ab._lookup codes
+        # as len(ab), so equal neighbours are always two letters of one word
+        codes = ab._encode(f"{sep}{sep.join(words.words[i : i + step])}{sep}")
+        gaps = np.flatnonzero(codes == len(ab))
+        starts, ends = gaps[:-1] + 1, gaps[1:] - 1
+        long = starts < ends
+        picks = starts, ends, starts[long] + 1, ends[long] - 1
+        doubled = np.compress(codes[:-1] == codes[1:], codes[:-1])
+        for row, picked in zip(tallies, (*map(codes.take, picks), doubled)):
+            row += np.bincount(picked, minlength=len(ab))
+        # the first group is one word; each next one about a block of characters
+        i, seen = i + step, seen + len(codes) - 1
+        step = max(1, block * i // seen)
+    *tables, doubles = (FrequencyTable(ab, dict(zip(ab.letters, row))) for row in tallies.tolist())
+    return PositionalStats(*tables, doubles.counts)
 
 
 def stability_curve(

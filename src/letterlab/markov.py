@@ -21,7 +21,7 @@ from itertools import accumulate, chain
 from . import alphabet as _alphabet  # BLOCK is read through the module at each call
 from .alphabet import CONSONANT, VOWEL, Alphabet, LetterSequence
 from .errors import InputError
-from .freq import DigramTable, FrequencyTable, ordered_sum
+from .freq import DigramTable, FrequencyTable, _total, ordered_sum
 from .rng import SplitMix64
 
 STATES = (VOWEL, CONSONANT)
@@ -41,8 +41,7 @@ class TransitionCounts:
     def __post_init__(self):
         if set(self.n) != {(a, b) for a in STATES for b in STATES}:
             raise InputError("transition counts must key all four state pairs")
-        if any(v < 0 for v in self.n.values()):
-            raise InputError("negative count")
+        _total(self.n)  # each count a nonnegative integer
         if self.initial not in STATES:
             raise InputError("initial state must be V or C")
 
@@ -98,9 +97,11 @@ def fit_transitions(b: LetterSequence) -> TransitionCounts:
     s = b.symbols
     if len(s) < 2:
         raise InputError("need at least two states to fit transitions")
-    # "VC" and "CV" cannot overlap themselves, so str.count sees every one;
-    # VV and CC are the other pairs led by V and by C
-    vc, cv = s.count(VOWEL + CONSONANT), s.count(CONSONANT + VOWEL)
+    # "VC" cannot overlap itself, so str.count sees every one; runs of V and C
+    # alternate, so VC and CV differ only by whether the ends are V; VV and CC
+    # are the other pairs led by V and by C
+    vc = s.count(VOWEL + CONSONANT)
+    cv = vc - (s[0] == VOWEL) + (s[-1] == VOWEL)
     led_by_v = s.count(VOWEL, 0, len(s) - 1)
     vv, cc = led_by_v - vc, len(s) - 1 - led_by_v - cv
     n = {(VOWEL, VOWEL): vv, (VOWEL, CONSONANT): vc, (CONSONANT, VOWEL): cv, (CONSONANT, CONSONANT): cc}

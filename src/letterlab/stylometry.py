@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .alphabet import LetterSequence
 from .errors import InputError
-from .freq import FrequencyTable
+from .freq import FrequencyTable, _total
 
 POETRY_THRESHOLD = Fraction(7, 16)
 ORATOR_THRESHOLD = Fraction(3, 7)
@@ -32,8 +32,8 @@ class VCProfile:
     consonant_count: int
 
     def __post_init__(self):
-        if self.vowel_count < 0 or self.consonant_count < 0:
-            raise InputError("negative count")
+        # each count a nonnegative integer
+        _total({"vowel_count": self.vowel_count, "consonant_count": self.consonant_count})
 
     @property
     def total(self) -> int:

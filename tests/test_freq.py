@@ -3,6 +3,7 @@ import functools
 import math
 import pickle
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -612,11 +613,32 @@ def pool_model(ab: Alphabet) -> LanguageModel:
     return LanguageModel.train(LetterSequence(ab, "".join(pool(ab)) * 2))
 
 
-def check_blocked_passes(ab: Alphabet, words: list[str], block: int) -> None:
-    """Encoding and every count, made `block` characters or codes at a time,
-    equal their per-character references."""
+def raw_pool(ab: Alphabet) -> tuple[str, ...]:
+    """pool(ab), and characters that tokenize_words lowercases, folds or drops: İ
+    lowercases to two characters, which are no letter."""
+    return pool(ab) + tuple(ch.upper() for ch in pool(ab)) + tuple(src for src, _ in ab.folds) + (" ", "'", "İ")
+
+
+def words_reference(raw: str, ab: Alphabet) -> list[str]:
+    """Maximal letter runs of `raw`, read one character at a time."""
+    folds, words, word = dict(ab.folds), [], ""
+    for ch in raw:
+        ch = folds.get(ch.lower(), ch.lower())
+        if ch is not None and ch in ab:
+            word += ch
+        elif word:
+            words.append(word)
+            word = ""
+    return words + [word] if word else words
+
+
+def check_blocked_passes(ab: Alphabet, raw: str, block: int) -> None:
+    """Tokenizing, encoding and every count, made `block` characters or codes
+    at a time, equal their per-character references."""
+    words = words_reference(raw, ab)
     s = "".join(words)
     with mock.patch.object(alphabet_module, "BLOCK", block):
+        assert tokenize_words(raw, ab).words == tuple(words)
         sequence = LetterSequence(ab, s)
         assert sequence._codes.tolist() == [ab.index(ch) for ch in s]
         framed = ab.separator.join(("", *words, ""))
@@ -642,10 +664,9 @@ def check_blocked_passes(ab: Alphabet, words: list[str], block: int) -> None:
 
 
 @pytest.mark.parametrize("ab", [builtin_alphabet("en"), builtin_alphabet("la"), CJK], ids=["en", "la", "cjk"])
-@given(block=st.sampled_from([1, 2, 3, 5]), data=st.data())
+@given(block=st.integers(1, 5), data=st.data())
 def test_blocked_passes_match_per_character_references(ab, block, data):
-    words = data.draw(st.lists(st.text(alphabet=pool(ab), min_size=1, max_size=5), max_size=8))
-    check_blocked_passes(ab, words, block)
+    check_blocked_passes(ab, data.draw(st.text(alphabet=raw_pool(ab), max_size=40)), block)
 
 
 @pytest.mark.parametrize(
@@ -659,7 +680,28 @@ def test_blocked_passes_match_per_character_references(ab, block, data):
     ],
 )
 def test_pairs_across_block_boundaries(en, words, block):
-    check_blocked_passes(en, words, block)
+    check_blocked_passes(en, " ".join(words), block)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
+def test_words_across_block_edges(block):
+    # under la, J and j fold to i and v to u; İ lowercases to two characters and ends a word
+    check_blocked_passes(builtin_alphabet("la"), "Jab'vAZİjjv  cabİ'z", block)
+
+
+def test_equal_words_of_one_block_are_one_object(en):
+    with mock.patch.object(alphabet_module, "BLOCK", 6):
+        words = tokenize_words("ab ab|cd cd|ab", en).words  # blocks "ab ab|", "cd cd|" and "ab"
+    assert words == ("ab", "ab", "cd", "cd", "ab")
+    assert words[0] is words[1] and words[2] is words[3]
+
+
+def test_a_block_shares_its_words_only_if_its_first_ones_repeat(en):
+    with mock.patch.object(alphabet_module, "BLOCK", 12), mock.patch.object(alphabet_module, "SHARE_PROBE", 2):
+        words = tokenize_words("ab cd ab cd|ab ab cd cd|", en).words  # two blocks of 12 characters
+    assert words == ("ab", "cd", "ab", "cd", "ab", "ab", "cd", "cd")
+    assert words[0] is not words[2] and words[1] is not words[3]  # "ab cd" repeats nothing: kept as split
+    assert words[4] is words[5] and words[6] is words[7]  # "ab ab" repeats: all of the block is shared
 
 
 def test_counting_temporaries_do_not_grow_with_the_text(en, training_corpus):
@@ -668,12 +710,17 @@ def test_counting_temporaries_do_not_grow_with_the_text(en, training_corpus):
     s = (training_corpus.symbols * (n // len(training_corpus) + 1))[:n]
     fresh, counted = LetterSequence(en, s), LetterSequence(en, s)
     count_letters(counted)  # encodes it, and imports numpy, outside the traced calls
+    raw = read_data("english_training.txt")
+    raw = (raw * (n // len(raw) + 1))[:n]
+    words = tokenize_words(raw, en)
     calls = {
         "_codes": lambda: fresh._codes,
         "count_letters": lambda: count_letters(counted),
         "count_digrams": lambda: count_digrams(counted),
         "LanguageModel.train": lambda: LanguageModel.train(counted),
         "stability_curve": lambda: stability_curve(counted, [n]),
+        "positional_stats": lambda: positional_stats(words),
+        "tokenize_words": lambda: tokenize_words(raw, en),
     }
     for name, call in calls.items():
         tracemalloc.start()
@@ -682,4 +729,10 @@ def test_counting_temporaries_do_not_grow_with_the_text(en, training_corpus):
             now, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - now < 4 * 2**20, f"{name}: {peak - now} bytes of temporaries"
+        allowed = 0
+        if name == "tokenize_words":
+            # it keeps one string per distinct word of a block, not one per word (16 MB here),
+            # and lists the words before it makes their tuple
+            allowed = sys.getsizeof(kept.words)
+            assert now - allowed < 4 * 2**20, f"{name}: {now - allowed} bytes of strings"
+        assert peak - now < allowed + 4 * 2**20, f"{name}: {peak - now} bytes of temporaries"

@@ -1,7 +1,9 @@
 import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from letterlab import (
     VC_ALPHABET,
@@ -123,6 +125,23 @@ def test_fit_transitions_needs_the_vc_alphabet(en):
     # an alphabet equal to VC_ALPHABET is the V/C alphabet
     same = Alphabet("vc", ("V", "C"), frozenset("V"))
     assert fit_transitions(LetterSequence(same, "VCV")) == fit_transitions(vc_seq("VCV"))
+
+
+@given(st.text(alphabet="VC", min_size=2))
+def test_fit_transitions_matches_counted_pairs(states):
+    # fit_transitions derives CV from VC and the two ends
+    pairs = Counter(zip(states, states[1:]))
+    assert fit_transitions(vc_seq(states)).n == {(a, b): pairs[a, b] for a in "VC" for b in "VC"}
+
+
+@pytest.mark.parametrize("bad", ["1", 1.5, None])
+def test_transition_counts_must_be_integers(bad):
+    with pytest.raises(InputError) as excinfo:
+        counts(1, 2, bad, 3)
+    assert str(excinfo.value) == f"count {bad!r} of ('C', 'V') is not an integer"
+    with pytest.raises(InputError, match="^negative count$"):
+        counts(1, 2, -1, 3)
+    assert counts(True, 2, 3, 4).total == 10  # bool is an integer, as in the tables
 
 
 def test_fit_transitions_counts_sum_to_length_minus_one():

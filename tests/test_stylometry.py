@@ -34,6 +34,16 @@ def test_vc_profile_alberti_page():
     assert math.isclose(p.vowel_share, 3 / 7)
 
 
+@pytest.mark.parametrize("bad", ["3", 2.5, None])
+def test_vc_profile_counts_must_be_integers(bad):
+    for args, name in (((bad, 1), "vowel_count"), ((1, bad), "consonant_count")):
+        with pytest.raises(InputError) as excinfo:
+            VCProfile(*args)
+        assert str(excinfo.value) == f"count {bad!r} of {name!r} is not an integer"
+    with pytest.raises(InputError, match="^negative count$"):
+        VCProfile(2, -1)
+
+
 def test_vc_profile_all_vowels(en):
     p = vc_profile(normalize("aeiou", en))
     assert p.vowels_per_100 is None
