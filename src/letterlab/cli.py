@@ -8,7 +8,7 @@ alphabet spec, empty corpus), 2 usage error.
 
 Every subcommand is one :class:`Command` entry of :data:`COMMANDS`: its
 arguments, its default format, and a function from the parsed arguments
-to a :class:`Report`, which renders itself in each of :data:`FORMATS`.
+to a :class:`Report`, which builds only the one of :data:`FORMATS` asked for.
 Those functions reach the analyses through the package's lazy exports
 (`L.count_letters`), so a process loads only the modules its command runs;
 they import a module by hand only for a name the package does not export.
@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
 from dataclasses import asdict, dataclass, field
-from typing import Callable
+from typing import Callable, Iterable, Sequence, TextIO
 
 import letterlab as L
 
@@ -36,26 +35,30 @@ SEED_LIMIT = 1 << 64
 
 @dataclass(frozen=True)
 class Report:
-    """One command's result in every output format.
+    """One command's result, built only in the format it prints.
 
-    `header` and `rows` are the CSV records as lists of cells, `data`
-    the JSON value, and `lines` the text lines; :meth:`render` ends
-    every format with a newline.
+    `header` is the CSV header and `rows` an iterable of CSV records
+    that only the CSV branch reads, a generator where they grow with the
+    input; `data` is a zero-argument function that only the JSON branch
+    calls for the JSON value; `lines` are the text lines. The analyses
+    run, and raise, before a Report is made: its rows and `data` only
+    format values. :meth:`render` ends every format with a newline.
     """
 
     header: list[str]
-    rows: list[list]
-    data: object
+    rows: Iterable[Sequence]
+    data: Callable[[], object]
     lines: list[str]
 
-    def render(self, fmt: str) -> str:
+    def render(self, fmt: str, out: TextIO) -> None:
         if fmt == "json":
-            return json.dumps(self.data, indent=2, ensure_ascii=False) + "\n"
-        if fmt == "text":
-            return "\n".join(self.lines) + "\n"
-        out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerows([self.header, *self.rows])
-        return out.getvalue()
+            print(json.dumps(self.data(), indent=2, ensure_ascii=False), file=out)
+        elif fmt == "text":
+            print(*self.lines, sep="\n", file=out)
+        else:
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(self.header)
+            writer.writerows(self.rows)
 
 
 def _num(v: float) -> str:
@@ -68,12 +71,12 @@ def _cell(v: object) -> str:
 
 def _record(data: dict, lines: list[str], cell: Callable[[object], str] = _cell) -> Report:
     """Report whose JSON is `data` and whose CSV is one row under its keys."""
-    return Report(list(data), [list(map(cell, data.values()))], data, lines)
+    return Report(list(data), [list(map(cell, data.values()))], lambda: data, lines)
 
 
 def _table(header: list[str], records: list[dict], lines: list[str]) -> Report:
     """Report whose JSON is `records` and whose CSV has one row per record."""
-    return Report(header, [list(map(_cell, r.values())) for r in records], records, lines)
+    return Report(header, (list(map(_cell, r.values())) for r in records), lambda: records, lines)
 
 
 def _resolve_alphabet(name_or_path: str) -> Alphabet:
@@ -104,8 +107,8 @@ def _count(args) -> Report:
     rank_of = {ch: i + 1 for i, ch in enumerate(ranks)}
     return Report(
         ["letter", "count", "proportion", "rank"],
-        [[ch, table.counts[ch], f"{table.proportion(ch):.6f}", rank_of[ch]] for ch in ab.letters],
-        {
+        ([ch, table.counts[ch], f"{table.proportion(ch):.6f}", rank_of[ch]] for ch in ab.letters),
+        lambda: {
             "alphabet": ab.name,
             "counts": {ch: table.counts[ch] for ch in ab.letters},
             "total": table.total,
@@ -123,8 +126,8 @@ def _digrams(args) -> Report:
     ranked = sorted(((pair, counts[pair]) for pair in pairs), key=lambda kv: -kv[1])
     return Report(
         ["first", "second", "count", "proportion"],
-        [[a, b, counts[a, b], f"{counts[a, b] / total:.6f}"] for a, b in pairs],
-        {"alphabet": table.alphabet.name, "counts": {a + b: counts[a, b] for a, b in pairs}, "total": total},
+        ([a, b, counts[a, b], f"{counts[a, b] / total:.6f}"] for a, b in pairs),
+        lambda: {"alphabet": table.alphabet.name, "counts": {a + b: counts[a, b] for a, b in pairs}, "total": total},
         [f"digrams: {total}"] + [f"  {a}{b}  {n:>8}  {n / total:.6f}" for (a, b), n in ranked],
     )
 
@@ -165,8 +168,8 @@ def _positions(args) -> Report:
         lines.append(f"  {name:<12} " + ", ".join(f"{ch}:{counts[ch]}" for ch in top))
     return Report(
         ["section", "letter", "count"],
-        [[name, ch, counts[ch]] for name, counts in sections.items() for ch in ab.letters],
-        {
+        ([name, ch, counts[ch]] for name, counts in sections.items() for ch in ab.letters),
+        lambda: {
             "words": ps.word_count,
             **{name: {ch: counts[ch] for ch in ab.letters} for name, counts in sections.items()},
         },
@@ -212,7 +215,7 @@ def _style_alberti(args) -> Report:
     return Report(
         ["vowel_share", "poetry_threshold", "above_poetry", "orator_threshold", "above_orator", "label"],
         [[share6, POETRY_THRESHOLD, poetry, ORATOR_THRESHOLD, orator, v.label]],
-        {
+        lambda: {
             "vowel_share": float(v.vowel_share),
             "vowel_share_exact": str(v.vowel_share),
             "poetry_threshold": str(POETRY_THRESHOLD),
@@ -321,7 +324,7 @@ def _generate(args) -> Report:
     return Report(
         ["mode", "order", "length", "seed", "sequence"],
         [[mode, order, args.length, args.seed, sequence]],
-        {"mode": mode, "length": args.length, "seed": args.seed, "sequence": sequence},
+        lambda: {"mode": mode, "length": args.length, "seed": args.seed, "sequence": sequence},
         [sequence],
     )
 
@@ -343,9 +346,9 @@ def _zipf(args) -> Report:
         lines.append(f"fit: not enough entries with count >= {args.min_count}")
     return Report(
         ["rank", "word", "count"],
-        [[e.rank, e.word, e.count] for e in rf.entries],
-        {
-            "entries": [asdict(e) for e in rf.entries],
+        ((e.rank, e.word, e.count) for e in rf.entries),
+        lambda: {
+            "entries": [{"rank": e.rank, "word": e.word, "count": e.count} for e in rf.entries],
             "fit": asdict(fit) if fit else None,
         },
         lines,
@@ -376,7 +379,7 @@ def _solve(args) -> Report:
             ["key", key_string],
             ["plaintext", report.plaintext.symbols],
         ],
-        {
+        lambda: {
             "best_score": report.best_score,
             "restarts_run": report.restarts_run,
             "length_warning": None if warning is None else asdict(warning),
@@ -399,12 +402,15 @@ def _train_model(args) -> Report:
     if len(seq) == 0:
         raise InputError("empty corpus")
     model = L.LanguageModel.train(seq)
-    upath, dpath = model.save(args.out)
+    try:
+        upath, dpath = model.save(args.out)
+    except OSError as exc:
+        raise InputError(f"cannot write {exc.filename!r}: {exc.strerror or exc}") from None
     letters, digrams = model.unigram.total, model.digram.total
     return Report(
         ["file", "letters"],
         [[upath, letters], [dpath, digrams]],
-        {"unigram": upath, "digram": dpath, "letters": letters, "digrams": digrams},
+        lambda: {"unigram": upath, "digram": dpath, "letters": letters, "digrams": digrams},
         [f"wrote {upath} ({letters} letters) and {dpath} ({digrams} digrams)"],
     )
 
@@ -543,7 +549,7 @@ def main(argv: list[str] | None = None) -> int:
             raise InputError(f"seed must be in 0..{SEED_LIMIT - 1}, got {args.seed}")
         # the builtin name or spec file path becomes the Alphabet every command uses
         args.alphabet, args.stdin = _resolve_alphabet(args.alphabet), None
-        sys.stdout.write(args.command.run(args).render(args.format))
+        args.command.run(args).render(args.format, sys.stdout)
         return 0
     except (InputError, OSError) as exc:
         print(f"letterlab: error: {exc}", file=sys.stderr)

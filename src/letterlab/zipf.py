@@ -59,12 +59,13 @@ class PowerLawFit:
 
 
 def word_rank_frequency(words: WordSequence) -> RankFrequency:
-    """Rank distinct words by count; the counts sum to the token total."""
+    """Rank distinct words by count; the counts sum to the token total.
+    A reverse sort is still stable, so equal counts stay in word order."""
     if not words.words:
         raise InputError("empty word sequence")
     counts = Counter(words.words)
-    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    entries = tuple(RankEntry(rank=i, word=w, count=c) for i, (w, c) in enumerate(ordered, start=1))
+    ordered = sorted(sorted(counts), key=counts.__getitem__, reverse=True)
+    entries = tuple(RankEntry(rank=i, word=w, count=counts[w]) for i, w in enumerate(ordered, start=1))
     return RankFrequency(entries=entries)
 
 

@@ -1,16 +1,20 @@
+import contextlib
 import csv
 import inspect
 import io
 import json
 import os
+import random
+import string
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from letterlab.alphabet import load_alphabet
 from letterlab.cipher import hill_climb_solve, length_check
-from letterlab.cli import COMMANDS, main
+from letterlab.cli import COMMANDS, FORMATS, Report, main
 from letterlab.errors import InputError, read_text
 from letterlab.stylometry import blocks_of, lipogram_scan
 from letterlab.zipf import fit_power_law
@@ -110,6 +114,52 @@ def test_zipf_on_flat_counts_prints_an_exact_fit(capsys, tmp_path):
     flat.write_text("aa bb cc dd ee " * 7, encoding="utf-8")
     code, out, _ = run_cli(capsys, "zipf", str(flat), "--format", "text")
     assert code == 0 and out.endswith("fit: exponent 0, r^2 1.000000, 5 points (count >= 5)\n")
+
+
+def test_render_builds_only_the_asked_format():
+    class Watched(Report):
+        def __getattribute__(self, name):
+            if name in ("header", "rows", "data", "lines"):
+                read.add(name)
+            return super().__getattribute__(name)
+
+    def data():
+        called.append(1)
+        return {"n": 2}
+
+    def rows():
+        for i in range(2):
+            pulled.append(i)
+            yield [i, "a,b"]
+
+    expected = {
+        "csv": ({"header", "rows"}, 'n,word\n0,"a,b"\n1,"a,b"\n'),
+        "json": ({"data"}, '{\n  "n": 2\n}\n'),
+        "text": ({"lines"}, "one\ntwo\n"),
+    }
+    for fmt in FORMATS:
+        read, called, pulled, out = set(), [], [], io.StringIO()
+        Watched(["n", "word"], rows(), data, ["one", "two"]).render(fmt, out)
+        assert (read, out.getvalue()) == expected[fmt]
+        assert called == ([1] if fmt == "json" else [])
+        assert pulled == ([0, 1] if fmt == "csv" else [])
+
+
+def test_zipf_builds_only_the_asked_format(tmp_path):
+    # nearly every word distinct: the JSON value is the largest rendering, and a
+    # run that printed CSV or text while building it as well would peak near it
+    rng = random.Random(1)
+    text = tmp_path / "groups.txt"
+    text.write_text(" ".join("".join(rng.choices(string.ascii_lowercase, k=5)) for _ in range(20_000)), "utf-8")
+    peaks = {}
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert main(["zipf", str(text), "--format", "text"]) == 0  # loads the modules first
+        for fmt in FORMATS:
+            tracemalloc.start()
+            assert main(["zipf", str(text), "--format", fmt]) == 0
+            peaks[fmt] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+    assert peaks["csv"] < 0.35 * peaks["json"] and peaks["text"] < 0.35 * peaks["json"], peaks
 
 
 def test_style_subcommands(capsys):
@@ -449,6 +499,18 @@ def test_missing_model_file_is_a_data_error(capsys, tmp_path):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == "" and err.startswith("letterlab: error: cannot read ")
         assert err.endswith(".unigram.csv': No such file or directory\n")
+
+
+def test_unwritable_model_prefix_is_a_data_error(capsys, tmp_path):
+    import letterlab as L
+
+    prefix = str(tmp_path / "nodir" / "m")
+    code, out, err = run_cli(capsys, "train-model", PLAINTEXT, "--out", prefix)
+    assert code == 1 and out == ""
+    assert err == f"letterlab: error: cannot write {prefix + '.unigram.csv'!r}: No such file or directory\n"
+    # library callers still see the OSError itself
+    with pytest.raises(FileNotFoundError):
+        L.LanguageModel.train(L.normalize("abc", L.builtin_alphabet("en"))).save(prefix)
 
 
 @pytest.mark.parametrize(

@@ -47,6 +47,12 @@ def prepare(workdir: str) -> None:
         "cipher.txt": " ".join(cipher[i : i + 5] for i in range(0, len(cipher), 5)) + "\n",
         "tiny.alphabet": "name: tiny\nletters: abct\nvowels: a\nfold: é > a\n",
         "tiny.txt": "a cab, a cat! Ébé tact.\n",
+        "dup.alphabet": "name: dup\nletters: abab\nvowels: a\n",
+        "bad.unigram.csv": "letter,count\na,x\n",
+        "bad.digram.csv": "first,second,count\n",
+        "digit-cipher.txt": "qwert y1uio\n",
+        "vowels.txt": "aeiou eai ou\n",
+        "empty.txt": "",
     }
     for name, text in files.items():
         with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
@@ -94,6 +100,13 @@ ERRORS = [
     ["stability", A, "--sizes", "1,99999999", "--random"],
     ["generate", "--length", "5"],
     ["style", "compare", A],
+    ["count", "--alphabet", "dup.alphabet", P],
+    ["generate", "--model", "bad", "--length", "5"],
+    ["solve", "digit-cipher.txt", "--model", "model"],
+    ["markov", "test", "vowels.txt"],
+    ["train-model", "empty.txt", "--out", "model-empty"],
+    ["zipf", "empty.txt"],
+    ["train-model", P, "--out", "nodir/model"],
 ]
 
 
