@@ -8,6 +8,10 @@ rather than drowning in float noise. The module also covers the
 vowels-per-100-consonants normalization with its min/median/max spread
 across samples, a pooled two-proportion z-test, and a letter-avoidance
 (lipogram) scan based on exact binomial tails.
+
+Vowels are counted in one pass over an ASCII text: its letters are
+translated to V/C states through the alphabet's table, BLOCK letters at a
+time, and the Vs counted. Other text is counted once per vowel.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .alphabet import LetterSequence
+from . import alphabet as _alphabet  # BLOCK is read through the module at each call
+from .alphabet import VOWEL, Alphabet, LetterSequence
 from .errors import InputError
 from .freq import FrequencyTable, _total
 
@@ -92,14 +97,19 @@ class LipogramFlag:
     p_value: float
 
 
-def _profile(symbols: str, vowels) -> VCProfile:
-    v = sum(map(symbols.count, vowels))
+def _profile(symbols: str, alphabet: Alphabet) -> VCProfile:
+    if symbols.isascii():  # str.translate has a table fast path for ASCII text only
+        v, vc, block = 0, alphabet._vc, _alphabet.BLOCK
+        for i in range(0, len(symbols), block):
+            v += symbols[i : i + block].translate(vc).count(VOWEL)
+    else:
+        v = sum(map(symbols.count, alphabet.vowels))
     return VCProfile(vowel_count=v, consonant_count=len(symbols) - v)
 
 
 def vc_profile(seq: LetterSequence) -> VCProfile:
     """Partition a letter sequence by the alphabet's vowel set."""
-    return _profile(seq.symbols, seq.alphabet.vowels)
+    return _profile(seq.symbols, seq.alphabet)
 
 
 def alberti_test(p: VCProfile) -> AlbertiVerdict:
@@ -159,8 +169,8 @@ def blocks_of(seq: LetterSequence, block_size: int = 1000) -> list[VCProfile]:
     """Fixed-size block profiles of one long text (last partial block kept)."""
     if block_size <= 0:
         raise InputError("block size must be positive")
-    s, vowels = seq.symbols, seq.alphabet.vowels
-    return [_profile(s[start : start + block_size], vowels) for start in range(0, len(s), block_size)]
+    s, ab = seq.symbols, seq.alphabet
+    return [_profile(s[start : start + block_size], ab) for start in range(0, len(s), block_size)]
 
 
 def _binom_cdf(k: int, n: int, p: float) -> float:

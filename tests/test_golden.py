@@ -53,6 +53,7 @@ def prepare(workdir: str) -> None:
         "digit-cipher.txt": "qwert y1uio\n",
         "vowels.txt": "aeiou eai ou\n",
         "empty.txt": "",
+        "one.txt": "a\n",
     }
     for name, text in files.items():
         with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
@@ -73,9 +74,11 @@ COMMANDS = [
     ["stability", A, "--sizes", "90,1000", "--random", "--seed", "4"],
     ["positions", P],
     ["style", "vc", P],
+    ["style", "vc", "--alphabet", "en-y-vowel", P],
     ["style", "alberti", P],
     ["style", "compare", A, P],
     ["style", "compass", A, "--block-size", "1000"],
+    ["style", "compass", "--alphabet", "la", A, "--block-size", "700"],
     ["lipogram", P, "--reference", T],  # flags f
     ["lipogram", P, "--reference", T, "--alpha", "1e-6"],  # flags nothing
     ["markov", "test", A],
@@ -107,6 +110,11 @@ ERRORS = [
     ["train-model", "empty.txt", "--out", "model-empty"],
     ["zipf", "empty.txt"],
     ["train-model", P, "--out", "nodir/model"],
+    ["style", "compass", "empty.txt"],
+    ["style", "alberti", "empty.txt"],
+    ["style", "compass", "vowels.txt"],
+    ["style", "compass", A, "--block-size", "0"],
+    ["markov", "test", "one.txt"],
 ]
 
 

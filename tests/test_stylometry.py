@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,6 +13,7 @@ from letterlab import (
     LetterSequence,
     VCProfile,
     alberti_test,
+    builtin_alphabet,
     compass_of_variation,
     count_letters,
     lipogram_scan,
@@ -19,6 +21,8 @@ from letterlab import (
     two_sample_proportion_test,
     vc_profile,
 )
+from letterlab import alphabet as alphabet_module
+from letterlab.markov import VC_ALPHABET
 from letterlab.stylometry import LipogramFlag, _binom_cdf, blocks_of
 
 
@@ -181,6 +185,37 @@ def test_blocks_of_matches_vc_profile_of_each_slice(analysis_corpus, block_size)
     expected = [vc_profile(LetterSequence(ab, s[i : i + block_size])) for i in range(0, len(s), block_size)]
     assert blocks_of(LetterSequence(ab, s), block_size) == expected
     assert blocks_of(LetterSequence(ab, ""), block_size) == []
+
+
+ORACLE_ALPHABETS = [
+    builtin_alphabet("en"),
+    builtin_alphabet("en-y-vowel"),
+    builtin_alphabet("la"),
+    VC_ALPHABET,
+    Alphabet("upper", tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ"), frozenset("AEIOU")),  # V and C are consonants
+    Alphabet("meta", tuple("]^-\\[.*abc"), frozenset("a^")),
+    Alphabet("grc", tuple("αβγδεζηθικλμνξοπρστυφχψω"), frozenset("αεηιουω")),
+    Alphabet("mixed", tuple("abcαβγ"), frozenset("aα")),  # slices of one text on both sides of isascii
+]
+
+
+def per_character_profile(text: str, ab: Alphabet) -> VCProfile:
+    vowels = sum(ch in ab.vowels for ch in text)
+    return VCProfile(vowels, len(text) - vowels)
+
+
+@pytest.mark.parametrize("ab", ORACLE_ALPHABETS, ids=lambda ab: ab.name)
+def test_vowel_counts_agree_with_a_per_character_count(ab):
+    # ASCII text is counted a BLOCK at a time through the V/C table, other
+    # text once per vowel; the reference reads only the vowel set
+    s = "".join(random.Random(ab.name).choices(ab.letters, k=2500))
+    with mock.patch.object(alphabet_module, "BLOCK", 16):
+        for text in (s, s[:16], s[:17], ""):
+            seq = LetterSequence(ab, text)
+            assert vc_profile(seq) == per_character_profile(text, ab)
+            for size in (1, 7, 1000, len(text) + 1):
+                chunks = [text[i : i + size] for i in range(0, len(text), size)]
+                assert blocks_of(seq, size) == [per_character_profile(c, ab) for c in chunks]
 
 
 def test_binom_cdf_against_closed_forms():
