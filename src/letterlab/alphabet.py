@@ -9,13 +9,16 @@ it into maximal letter runs.
 
 Both translate through tables (lowercase, fold, keep letters) that each
 :class:`Alphabet` fills on demand and keeps. It also keeps, built on first
-use, a pattern of its letters (one ``fullmatch`` checks a sequence), its
-V/C table, which maps each letter to its Markov state, and its code table:
-letter i has code i and the word separator code ``len(alphabet)``. A
-sequence's letter codes, the integer array every counter reads, are
-computed on its first count and kept, read-only, with it. They are the one
-encoded form of text: the solver reads a cryptogram as the letter sequence
-in which letter i stands in for its i-th symbol.
+use, a pattern of its letters (one ``fullmatch`` checks what the public
+constructors are given), its V/C table, which maps each letter to its Markov
+state, and its code table: letter i has code i and the word separator code
+``len(alphabet)``. A sequence's letter codes, the integer array every
+counter reads, are computed on its first count and kept, read-only, with
+it. They are the one encoded form of text: the solver reads a cryptogram as
+the letter sequence in which letter i stands in for its i-th symbol.
+:func:`normalize`, :func:`tokenize_words`, ``to_vc_sequence``, ``generate``,
+``decrypt`` and the solver build their sequences through an alphabet's own
+tables, so these hold letters by construction and are not checked again.
 
 A text is encoded in blocks of :data:`BLOCK` characters, and the letter
 and digram counters walk its codes in blocks of as many, so their
@@ -375,6 +378,14 @@ def _check_letters(symbols: str, alphabet: Alphabet) -> None:
         raise InputError(f"symbol {ch!r} not in alphabet {alphabet.name!r}")
 
 
+def _unchecked(cls, alphabet: Alphabet, items, source: str = ""):
+    """``cls(alphabet, items, source)`` minus the letter check, set as the frozen ``__init__`` sets it."""
+    seq = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, (alphabet, items, source)):
+        object.__setattr__(seq, name, value)
+    return seq
+
+
 def _code_points(symbols: str) -> np.ndarray:
     import numpy as np
 
@@ -404,7 +415,7 @@ def normalize(raw: str, alphabet: Alphabet, source: str = "text") -> LetterSeque
     the provenance label). Idempotent on its own rendered output.
     """
     symbols = raw.translate(alphabet._keep)
-    return LetterSequence(alphabet, symbols, source=f"{source} (discarded {len(raw) - len(symbols)})")
+    return _unchecked(LetterSequence, alphabet, symbols, f"{source} (discarded {len(raw) - len(symbols)})")
 
 
 def tokenize_words(raw: str, alphabet: Alphabet, source: str = "text") -> WordSequence:
@@ -423,7 +434,7 @@ def tokenize_words(raw: str, alphabet: Alphabet, source: str = "text") -> WordSe
     """
     split, sep = alphabet._split, alphabet.separator
     if len(raw) <= BLOCK:
-        return WordSequence(alphabet, tuple(filter(None, raw.translate(split).split(sep))), source=source)
+        return _unchecked(WordSequence, alphabet, tuple(filter(None, raw.translate(split).split(sep))), source)
     words, head = [], []  # head: the pieces of a word that runs on past its block
     for i in range(0, len(raw), BLOCK):
         parts = raw[i : i + BLOCK].translate(split).split(sep)
@@ -437,5 +448,4 @@ def tokenize_words(raw: str, alphabet: Alphabet, source: str = "text") -> WordSe
             words += map(shared.setdefault, rest, rest) if len(shared) < len(probe) else rest
     if last := "".join(head):
         words.append(last)
-    words = tuple(words)  # the list is let go before the words are checked
-    return WordSequence(alphabet, words, source=source)
+    return _unchecked(WordSequence, alphabet, tuple(words), source)

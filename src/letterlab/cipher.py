@@ -21,7 +21,7 @@ import math
 from itertools import chain
 from dataclasses import dataclass, field
 
-from .alphabet import Alphabet, LetterSequence, first_foreign
+from .alphabet import Alphabet, LetterSequence, _unchecked, first_foreign
 from .errors import InputError, read_text
 from .freq import (
     DigramTable, FrequencyTable, _pair_blocks, _pair_tally, count_digrams, count_letters, ordered_sum, rank_order
@@ -249,7 +249,7 @@ def decrypt(c: Cryptogram, key: SubstitutionKey) -> LetterSequence:
     if ch is not None:
         raise InputError(f"cryptogram symbol {ch!r} not produced by this key")
     plain = c.symbols.translate(str.maketrans(inv))
-    return LetterSequence(c.alphabet, plain, source=f"decrypted {c.source}".strip())
+    return _unchecked(LetterSequence, c.alphabet, plain, f"decrypted {c.source}".strip())
 
 
 def length_check(c: Cryptogram, threshold: int = LENGTH_WARNING_THRESHOLD) -> LengthWarning | None:
@@ -372,7 +372,8 @@ def hill_climb_solve(
 
     ab, size = c.alphabet, len(c.symbol_set)
     logp = model._log_probs
-    stand_in = LetterSequence(ab, c.symbols.translate(str.maketrans("".join(c.symbol_set), "".join(ab.letters))))
+    letters = c.symbols.translate(str.maketrans("".join(c.symbol_set), "".join(ab.letters)))
+    stand_in = _unchecked(LetterSequence, ab, letters)
     ndig = _pair_tally(stand_in._codes, size).reshape(size, size).astype(float)
     inverse = frequency_match_key(count_letters(stand_in), model.unigram).inverse()
     matched = np.array([ab.index(inverse[letter]) for letter in ab.letters], dtype=np.intp)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain
 
 from . import alphabet as _alphabet  # BLOCK is read through the module at each call
-from .alphabet import CONSONANT, VOWEL, Alphabet, LetterSequence
+from .alphabet import CONSONANT, VOWEL, Alphabet, LetterSequence, _unchecked
 from .errors import InputError
 from .freq import DigramTable, FrequencyTable, _total, ordered_sum
 from .rng import SplitMix64
@@ -86,7 +86,7 @@ class EntropyReport:
 
 def to_vc_sequence(seq: LetterSequence) -> LetterSequence:
     """Map each letter to V or C by the alphabet's vowel set: a sequence over :data:`VC_ALPHABET`."""
-    return LetterSequence(VC_ALPHABET, seq.symbols.translate(seq.alphabet._vc), source=seq.source)
+    return _unchecked(LetterSequence, VC_ALPHABET, seq.symbols.translate(seq.alphabet._vc), seq.source)
 
 
 def fit_transitions(b: LetterSequence) -> TransitionCounts:
@@ -216,7 +216,8 @@ def _generate_states(t: TransitionCounts, length: int, rng: SplitMix64) -> Lette
     totals = [t.row_total(a) for a in STATES]
     marginal = [r / total for r in totals] if total else None
     rows = [[t.n[(a, b)] / r for b in STATES] if r else None for a, r in zip(STATES, totals)]
-    return LetterSequence(VC_ALPHABET, _walk(rng, STATES, marginal, rows, length), source="generated order-1 chain")
+    states = _walk(rng, STATES, marginal, rows, length)
+    return _unchecked(LetterSequence, VC_ALPHABET, states, "generated order-1 chain")
 
 
 def _generate_letters(model, length: int, rng: SplitMix64, order: int) -> LetterSequence:
@@ -232,4 +233,4 @@ def _generate_letters(model, length: int, rng: SplitMix64, order: int) -> Letter
         dens = [totals[a] + lam * len(letters) for a in letters]
         rows = [[(model.digram.count(a, b) + lam) / den for b in letters] for a, den in zip(letters, dens)]
     symbols = _walk(rng, letters, marginal, rows, length)
-    return LetterSequence(alphabet, symbols, source=f"generated order-{order}")
+    return _unchecked(LetterSequence, alphabet, symbols, f"generated order-{order}")

@@ -47,6 +47,9 @@ def prepare(workdir: str) -> None:
         "cipher.txt": " ".join(cipher[i : i + 5] for i in range(0, len(cipher), 5)) + "\n",
         "tiny.alphabet": "name: tiny\nletters: abct\nvowels: a\nfold: é > a\n",
         "tiny.txt": "a cab, a cat! Ébé tact.\n",
+        # upper-case letters reached only by folds; V and C are letters, and consonants
+        "upper.alphabet": "name: upper\nletters: ABCDEFGHIJKLMNOPQRSTUVWXYZ\nvowels: AEIOU\n"
+        + "".join(f"fold: {ch} > {ch.upper()}\n" for ch in "abcdefghijklmnopqrstuvwxyz"),
         "dup.alphabet": "name: dup\nletters: abab\nvowels: a\n",
         "bad.unigram.csv": "letter,count\na,x\n",
         "bad.digram.csv": "first,second,count\n",
@@ -54,6 +57,13 @@ def prepare(workdir: str) -> None:
         "vowels.txt": "aeiou eai ou\n",
         "empty.txt": "",
         "one.txt": "a\n",
+        "no-vowels.alphabet": "name: nv\nletters: abc\n",
+        "colour.alphabet": "name: c\nletters: abc\nvowels: a\ncolour: red\n",
+        "bad-fold.alphabet": "name: f\nletters: abc\nvowels: a\nfold: a b\n",
+        "bad-header.unigram.csv": "letter,count\na,1\nb,2\n",
+        "bad-header.digram.csv": "first,second\na,b\n",
+        "bad-pair.unigram.csv": "letter,count\na,1\nb,2\n",
+        "bad-pair.digram.csv": "first,second,count\na,b,1\na,b,2\n",
     }
     for name, text in files.items():
         with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
@@ -91,6 +101,15 @@ COMMANDS = [
     ["zipf", P, "--min-count", "1000"],
     ["solve", "cipher.txt", "--model", "model", "--restarts", "3", "--seed", "7"],
     ["solve", "cipher.txt", "--model", "model", "--restarts", "2", "--length-threshold", "1000"],
+    # the V/C chain and the word path over alphabets with folds: É folds into tiny, every letter into upper
+    ["markov", "test", "--alphabet", "tiny.alphabet", "tiny.txt"],
+    ["zipf", "--alphabet", "tiny.alphabet", "tiny.txt"],
+    ["positions", "--alphabet", "tiny.alphabet", "tiny.txt"],
+    ["generate", "--vc-corpus", "tiny.txt", "--alphabet", "tiny.alphabet", "--length", "30", "--seed", "2"],
+    ["markov", "test", "--alphabet", "upper.alphabet", P],
+    ["zipf", "--alphabet", "upper.alphabet", P],
+    ["positions", "--alphabet", "upper.alphabet", P],
+    ["generate", "--vc-corpus", P, "--alphabet", "upper.alphabet", "--length", "50", "--seed", "1"],
 ]
 
 # usage and data errors: exit status and message pinned, stdout must stay empty
@@ -115,6 +134,11 @@ ERRORS = [
     ["style", "compass", "vowels.txt"],
     ["style", "compass", A, "--block-size", "0"],
     ["markov", "test", "one.txt"],
+    ["count", "--alphabet", "no-vowels.alphabet", P],
+    ["count", "--alphabet", "colour.alphabet", P],
+    ["count", "--alphabet", "bad-fold.alphabet", P],
+    ["generate", "--model", "bad-header", "--length", "5"],
+    ["generate", "--model", "bad-pair", "--length", "5"],
 ]
 
 
