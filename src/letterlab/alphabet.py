@@ -16,9 +16,10 @@ state, and its code table: letter i has code i and the word separator code
 counter reads, are computed on its first count and kept, read-only, with
 it. They are the one encoded form of text: the solver reads a cryptogram as
 the letter sequence in which letter i stands in for its i-th symbol.
-:func:`normalize`, :func:`tokenize_words`, ``to_vc_sequence``, ``generate``,
-``decrypt`` and the solver build their sequences through an alphabet's own
-tables, so these hold letters by construction and are not checked again.
+:func:`normalize`, :func:`tokenize_words`, ``to_vc_sequence``, ``generate``
+and the solver build their sequences through an alphabet's own tables, so
+these hold letters by construction and are not checked again; ``decrypt``
+checks its key, not the plaintext it builds from it.
 
 A text is encoded in blocks of :data:`BLOCK` characters, and the letter
 and digram counters walk its codes in blocks of as many, so their
@@ -35,7 +36,9 @@ string per word and whole-text word arrays took 329 and 255 to 262 MB. A
 block whose first words are all distinct, as in a word list, keeps its
 words as split: hashing them would cost time and save no memory.
 
-Alphabets can be defined in a small line-oriented document::
+The builtins ("en", "en-y-vowel", "la", "fr", "it") are :class:`Alphabet`
+values built at import, one shared object each. Other alphabets are defined
+in a small line-oriented document::
 
     # comment
     name: en
@@ -45,8 +48,7 @@ Alphabets can be defined in a small line-oriented document::
     fold: ' > -
 
 ``fold: x > -`` discards ``x``. Lowercasing happens before fold lookup,
-so fold sources must be lowercase. Builtin names ("en", "en-y-vowel",
-"la", "fr", "it") resolve without a document, to one shared object each.
+so fold sources must be lowercase.
 """
 
 from __future__ import annotations
@@ -228,66 +230,8 @@ class WordSequence:
         return len(self.words)
 
 
-_BUILTIN_SPECS = {
-    "en": """
-        name: en
-        letters: abcdefghijklmnopqrstuvwxyz
-        vowels: aeiou
-    """,
-    # Alternate English alphabet treating y as a vowel.
-    "en-y-vowel": """
-        name: en-y-vowel
-        letters: abcdefghijklmnopqrstuvwxyz
-        vowels: aeiouy
-    """,
-    # Classical Latin: 23 letters, i/j and u/v merged by folding.
-    "la": """
-        name: la
-        letters: abcdefghiklmnopqrstuxyz
-        vowels: aeiouy
-        fold: j > i
-        fold: v > u
-    """,
-    "fr": """
-        name: fr
-        letters: abcdefghijklmnopqrstuvwxyz
-        vowels: aeiouy
-        fold: à > a
-        fold: â > a
-        fold: æ > a
-        fold: ç > c
-        fold: é > e
-        fold: è > e
-        fold: ê > e
-        fold: ë > e
-        fold: î > i
-        fold: ï > i
-        fold: ô > o
-        fold: œ > o
-        fold: ù > u
-        fold: û > u
-        fold: ü > u
-        fold: ÿ > y
-    """,
-    # Italian: traditional 21-letter alphabet (no j, k, w, x, y).
-    "it": """
-        name: it
-        letters: abcdefghilmnopqrstuvz
-        vowels: aeiou
-        fold: à > a
-        fold: è > e
-        fold: é > e
-        fold: ì > i
-        fold: î > i
-        fold: ò > o
-        fold: ó > o
-        fold: ù > u
-    """,
-}
-
-
 def builtin_names() -> tuple[str, ...]:
-    return tuple(_BUILTIN_SPECS)
+    return tuple(_BUILTINS)
 
 
 def load_alphabet(spec_text: str) -> Alphabet:
@@ -356,12 +300,11 @@ def load_alphabet(spec_text: str) -> Alphabet:
     return Alphabet(name=name, letters=tuple(letters), vowels=frozenset(vowels), folds=folds)
 
 
-@functools.cache
 def builtin_alphabet(name: str) -> Alphabet:
     """Return one of the builtin alphabets by name, one shared object each."""
-    if name not in _BUILTIN_SPECS:
-        raise InputError(f"unknown builtin alphabet {name!r}; have {', '.join(_BUILTIN_SPECS)}")
-    return load_alphabet(_BUILTIN_SPECS[name])
+    if name not in _BUILTINS:
+        raise InputError(f"unknown builtin alphabet {name!r}; have {', '.join(_BUILTINS)}")
+    return _BUILTINS[name]
 
 
 def first_foreign(symbols: str, inventory) -> str | None:
@@ -449,3 +392,22 @@ def tokenize_words(raw: str, alphabet: Alphabet, source: str = "text") -> WordSe
     if last := "".join(head):
         words.append(last)
     return _unchecked(WordSequence, alphabet, tuple(words), source)
+
+
+# at the end of the module, since Alphabet.__post_init__ builds its tables with _LetterTable
+_LATIN = tuple("abcdefghijklmnopqrstuvwxyz")
+_BUILTINS = {
+    "en": Alphabet("en", _LATIN, frozenset("aeiou")),
+    # Alternate English alphabet treating y as a vowel.
+    "en-y-vowel": Alphabet("en-y-vowel", _LATIN, frozenset("aeiouy")),
+    # Classical Latin: 23 letters, i/j and u/v merged by folding.
+    "la": Alphabet("la", tuple("abcdefghiklmnopqrstuxyz"), frozenset("aeiouy"), {"j": "i", "v": "u"}),
+    "fr": Alphabet("fr", _LATIN, frozenset("aeiouy"), {
+        "à": "a", "â": "a", "æ": "a", "ç": "c", "é": "e", "è": "e", "ê": "e", "ë": "e",
+        "î": "i", "ï": "i", "ô": "o", "œ": "o", "ù": "u", "û": "u", "ü": "u", "ÿ": "y",
+    }),
+    # Italian: traditional 21-letter alphabet (no j, k, w, x, y).
+    "it": Alphabet("it", tuple("abcdefghilmnopqrstuvz"), frozenset("aeiou"), {
+        "à": "a", "è": "e", "é": "e", "ì": "i", "î": "i", "ò": "o", "ó": "o", "ù": "u",
+    }),
+}

@@ -41,6 +41,10 @@ class SubstitutionKey:
     mapping: dict[str, str]
 
     def __post_init__(self):
+        self._check()
+
+    def _check(self) -> None:
+        """Raise InputError unless `mapping` sends the letters one to one onto single characters."""
         if set(self.mapping) != set(self.alphabet.letters):
             raise InputError("key must map every alphabet letter exactly once")
         values = list(self.mapping.values())
@@ -244,6 +248,7 @@ def decrypt(c: Cryptogram, key: SubstitutionKey) -> LetterSequence:
     """Invert the key over the cryptogram."""
     if c.alphabet != key.alphabet:
         raise InputError("alphabet mismatch")
+    key._check()  # its dict may have changed since it was built
     inv = key.inverse()
     ch = first_foreign(c.symbols, inv)
     if ch is not None:

@@ -55,6 +55,15 @@ def test_builtin_alphabet_is_one_shared_object(name):
     assert builtin_alphabet(name) is builtin_alphabet(name)
 
 
+@pytest.mark.parametrize("name", builtin_names())
+def test_a_builtin_written_as_a_spec_document_parses_to_itself(name):
+    # the builtins are built without the parser, so this keeps the parser checked on all five
+    ab = builtin_alphabet(name)
+    doc = f"name: {ab.name}\nletters: {''.join(ab.letters)}\nvowels: {''.join(sorted(ab.vowels))}\n"
+    doc += "".join(f"fold: {src} > {'-' if dst is None else dst}\n" for src, dst in ab.folds)
+    assert load_alphabet(doc) == ab
+
+
 def test_folds_are_read_only():
     fr = builtin_alphabet("fr")
     with pytest.raises(TypeError):

@@ -85,6 +85,18 @@ def test_key_must_be_bijection(en):
         SubstitutionKey(en, mapping)
 
 
+def test_decrypt_checks_a_key_changed_after_it_was_built(en):
+    c = parse_cryptogram("a cat", en)
+    key = en_key(en, "".join(en.letters))
+    key.mapping["é"] = key.mapping.pop("a")  # 'écét' if the key were trusted
+    with pytest.raises(InputError, match="^key must map every alphabet letter exactly once$"):
+        decrypt(c, key)
+    key = en_key(en, "".join(en.letters))
+    key.mapping["b"] = key.mapping["a"]  # 'bcbt' if the key were trusted
+    with pytest.raises(InputError, match="^key mapping must be injective$"):
+        decrypt(c, key)
+
+
 def test_foreign_cryptogram_symbol_messages_name_the_first_one(en):
     # "É" / "Q" come first in the text but sort after "!" / "A"
     with pytest.raises(InputError, match="cryptogram symbol 'É' outside the expected inventory"):

@@ -549,6 +549,42 @@ def test_undecodable_input_is_a_data_error(capsys, monkeypatch, tmp_path):
     assert code == 1 and out == "" and err.startswith("letterlab: error: cannot decode '-'")
 
 
+BOM = b"\xef\xbb\xbf"
+CAESAR = b"wkh txlfn eurzq ira mxpsv ryhu wkh odcb grj\n"
+
+
+def run_on_file_and_stdin(capsys, monkeypatch, tmp_path, data: bytes, *argv):
+    """`letterlab argv` run on `data` as the file in.txt and as standard input."""
+    (tmp_path / "in.txt").write_bytes(data)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    return run_cli(capsys, *argv, "in.txt"), run_cli(capsys, *argv, "-")
+
+
+def test_a_leading_byte_order_mark_is_not_text(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, "train-model", data_path("english_training.txt"), "--out", "model")[0] == 0
+    for argv in (["count"], ["solve", "--model", "model", "--restarts", "2"]):
+        plain = run_on_file_and_stdin(capsys, monkeypatch, tmp_path, CAESAR, *argv)
+        assert [code for code, _, _ in plain] == [0, 0]
+        assert run_on_file_and_stdin(capsys, monkeypatch, tmp_path, BOM + CAESAR, *argv) == plain
+    # model files that open with the mark read as the plain ones
+    for kind in ("unigram", "digram"):
+        (tmp_path / f"marked.{kind}.csv").write_bytes(BOM + (tmp_path / f"model.{kind}.csv").read_bytes())
+    argv = ["solve", "--model", "marked", "--restarts", "2"]
+    assert run_on_file_and_stdin(capsys, monkeypatch, tmp_path, BOM + CAESAR, *argv) == plain
+
+
+def test_a_spec_file_may_open_with_a_byte_order_mark(capsys, tmp_path):
+    spec = "name: tiny\nletters: abct\nvowels: a\nfold: é > a\n".encode()
+    (tmp_path / "plain.alphabet").write_bytes(spec)
+    (tmp_path / "marked.alphabet").write_bytes(BOM + spec)
+    text = data_path("solver_plaintext.txt")
+    for argv in (["count"], ["style", "vc"]):
+        plain = run_cli(capsys, *argv, "--alphabet", str(tmp_path / "plain.alphabet"), text)
+        assert plain[0] == 0
+        assert run_cli(capsys, *argv, "--alphabet", str(tmp_path / "marked.alphabet"), text) == plain
+
+
 def run_on_stdin(data: bytes, *argv, **env):
     """`letterlab argv` in a fresh interpreter under the POSIX locale, with
     `data` on standard input and `env` added to the environment."""

@@ -64,6 +64,17 @@ def prepare(workdir: str) -> None:
         "bad-header.digram.csv": "first,second\na,b\n",
         "bad-pair.unigram.csv": "letter,count\na,1\nb,2\n",
         "bad-pair.digram.csv": "first,second,count\na,b,1\na,b,2\n",
+        "foreign-vowel.alphabet": "name: v\nletters: abc\nvowels: ae\n",
+        "all-vowels.alphabet": "name: v\nletters: abc\nvowels: cab\n",
+        "lost-letter.alphabet": "name: u\nletters: Abc\nvowels: b\n",
+        "no-colon.alphabet": "name: n\nletters abc\nvowels: a\n",
+        "two-names.alphabet": "name: n\nletters: abc\nname: m\nvowels: a\n",
+        "two-folds.alphabet": "name: f\nletters: abc\nvowels: a\nfold: é > a\nfold: É > b\n",
+        "foreign-fold.alphabet": "name: f\nletters: abc\nvowels: a\nfold: é > e\n",
+        "one-field.unigram.csv": "letter,count\na\n",
+        "one-field.digram.csv": "first,second,count\n",
+        "foreign-letter.unigram.csv": "letter,count\na,1\né,2\n",
+        "foreign-letter.digram.csv": "first,second,count\n",
     }
     for name, text in files.items():
         with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
@@ -139,6 +150,28 @@ ERRORS = [
     ["count", "--alphabet", "bad-fold.alphabet", P],
     ["generate", "--model", "bad-header", "--length", "5"],
     ["generate", "--model", "bad-pair", "--length", "5"],
+    ["generate", "--vc-corpus", P, "--order", "1", "--length", "50"],
+    ["generate", "--model", "model", "--length", "10000001"],
+    ["generate", "--model", "model", "--length", "-1"],
+    ["solve", "cipher.txt", "--model", "model", "--restarts", "0"],
+    ["solve", "cipher.txt", "--model", "model", "--restarts", "10001"],
+    ["solve", "cipher.txt", "--model", "model", "--length-threshold", "-1"],
+    ["solve", "empty.txt", "--model", "model"],
+    ["lipogram", P, "--reference", "empty.txt"],
+    ["lipogram", P, "--reference", T, "--alpha", "0"],
+    ["compare", "empty.txt", P],
+    ["entropy", "one.txt"],
+    ["style", "compare", "empty.txt", P],
+    ["stability", "empty.txt", "--sizes", "1"],
+    ["count", "--alphabet", "foreign-vowel.alphabet", P],
+    ["count", "--alphabet", "all-vowels.alphabet", P],
+    ["count", "--alphabet", "lost-letter.alphabet", P],
+    ["count", "--alphabet", "no-colon.alphabet", P],
+    ["count", "--alphabet", "two-names.alphabet", P],
+    ["count", "--alphabet", "two-folds.alphabet", P],
+    ["count", "--alphabet", "foreign-fold.alphabet", P],
+    ["generate", "--model", "one-field", "--length", "5"],
+    ["generate", "--model", "foreign-letter", "--length", "5"],
 ]
 
 
