@@ -12,10 +12,13 @@ Both translate through tables (lowercase, fold, keep letters) that each
 use, a pattern of its letters (one ``fullmatch`` checks what the public
 constructors are given), its V/C table, which maps each letter to its Markov
 state, and its code table: letter i has code i and the word separator code
-``len(alphabet)``. A sequence's letter codes, the integer array every
-counter reads, are computed on its first count and kept, read-only, with
-it. They are the one encoded form of text: the solver reads a cryptogram as
-the letter sequence in which letter i stands in for its i-th symbol.
+``len(alphabet)``. A sequence's letter codes, the integer array that the
+counters read of a text longer than :data:`BLOCK` and the solver reads of
+any, are computed on first use and kept, read-only, with it. They are the
+one encoded form of text: the solver reads a cryptogram as the letter
+sequence in which letter i stands in for its i-th symbol. A text of at most
+a block is counted as a string, by ``collections.Counter``, so counting it
+never loads numpy.
 :func:`normalize`, :func:`tokenize_words`, ``to_vc_sequence``, ``generate``
 and the solver build their sequences through an alphabet's own tables, so
 these hold letters by construction and are not checked again; ``decrypt``
@@ -172,8 +175,10 @@ class Alphabet:
         return tuple((a, b) for a in self.letters for b in self.letters)
 
     @functools.cached_property
-    def _pair_set(self) -> frozenset[tuple[str, str]]:
-        return frozenset(self._pairs)
+    def _pair_keys(self) -> dict[tuple[str, str], tuple[str, str]]:
+        """Each pair of `_pairs` to itself: tells a pair from any other key, and
+        gives the one tuple of it that every digram table keys."""
+        return dict(zip(self._pairs, self._pairs))
 
     @functools.cached_property
     def _letter_run(self) -> re.Pattern:

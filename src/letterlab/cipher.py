@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from .alphabet import Alphabet, LetterSequence, _unchecked, first_foreign
 from .errors import InputError, read_text
 from .freq import (
-    DigramTable, FrequencyTable, _pair_blocks, _pair_tally, count_digrams, count_letters, ordered_sum, rank_order
+    DigramTable, FrequencyTable, _pair_blocks, _pair_tally, _tally, count_digrams, count_letters, ordered_sum,
+    rank_order,
 )
 from .rng import substream
 
@@ -380,7 +381,8 @@ def hill_climb_solve(
     letters = c.symbols.translate(str.maketrans("".join(c.symbol_set), "".join(ab.letters)))
     stand_in = _unchecked(LetterSequence, ab, letters)
     ndig = _pair_tally(stand_in._codes, size).reshape(size, size).astype(float)
-    inverse = frequency_match_key(count_letters(stand_in), model.unigram).inverse()
+    # from the codes the solve builds anyway, where count_letters would count a short text as a string
+    inverse = frequency_match_key(_tally(ab, stand_in._codes), model.unigram).inverse()
     matched = np.array([ab.index(inverse[letter]) for letter in ab.letters], dtype=np.intp)
 
     first, second, deltas = _swap_plan(ndig, logp)

@@ -12,7 +12,10 @@ correlation.
 from __future__ import annotations
 
 import math
+import re
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import alphabet as _alphabet  # BLOCK is read through the module at each call
 from .alphabet import Alphabet, LetterSequence, WordSequence
@@ -74,7 +77,7 @@ class DigramTable:
     total: int = field(init=False)
 
     def __post_init__(self):
-        keys_ok = self.counts.keys() <= self.alphabet._pair_set
+        keys_ok = self.counts.keys() <= self.alphabet._pair_keys.keys()
         object.__setattr__(self, "total", _total(self.counts, keys_ok, self._check_pair))
 
     def _check_pair(self, key) -> None:
@@ -140,20 +143,34 @@ class PositionalStats:
         object.__setattr__(self, "word_count", self.initial.total)
 
 
-def _tally(alphabet: Alphabet, codes: np.ndarray) -> FrequencyTable:
-    """Table of letter codes (positions in `alphabet.letters`), one count each."""
+def _tally(alphabet: Alphabet, letters: str | np.ndarray) -> FrequencyTable:
+    """Table of `letters`: a string of at most BLOCK letters, or letter codes
+    (positions in `alphabet.letters`), one count each."""
+    if isinstance(letters, str):
+        return _table(alphabet, Counter(letters))
     import numpy as np
 
     block, size = _alphabet.BLOCK, len(alphabet)
-    counts = np.bincount(codes[:block], minlength=size)
-    for i in range(block, len(codes), block):
-        counts += np.bincount(codes[i : i + block], minlength=size)
+    counts = np.bincount(letters[:block], minlength=size)
+    for i in range(block, len(letters), block):
+        counts += np.bincount(letters[i : i + block], minlength=size)
     return FrequencyTable(alphabet, dict(zip(alphabet.letters, counts.tolist())))
+
+
+def _table(alphabet: Alphabet, counts: Counter) -> FrequencyTable:
+    """Table of `counts`, keyed by letters only, with the letters it lacks at 0."""
+    return FrequencyTable(alphabet, {**dict.fromkeys(alphabet.letters, 0), **counts})
+
+
+def _letters(seq: LetterSequence) -> str | np.ndarray:
+    """What the counters read of `seq`: its symbols if there are at most BLOCK of
+    them, counted by C-level str and Counter passes without numpy, else its codes."""
+    return seq.symbols if len(seq.symbols) <= _alphabet.BLOCK else seq._codes
 
 
 def count_letters(seq: LetterSequence) -> FrequencyTable:
     """Count every letter of the sequence; zero-count letters stay present."""
-    return _tally(seq.alphabet, seq._codes)
+    return _tally(seq.alphabet, _letters(seq))
 
 
 def _pair_blocks(codes: np.ndarray, size: int):
@@ -193,14 +210,19 @@ def _pair_tally(codes: np.ndarray, size: int, first: np.ndarray | None = None) -
 def count_digrams(seq: LetterSequence) -> DigramTable:
     """Count overlapping adjacent pairs, keyed by first occurrence; total is max(0, len - 1).
 
-    The pairs are coded and counted BLOCK at a time, so the temporaries stay
-    the same size however long the text (see :mod:`letterlab.alphabet`).
+    A text of at most BLOCK letters is counted as a string, each pair looked up
+    in the alphabet's own pairs so that every table shares their tuples. A
+    longer one is coded and counted BLOCK pairs at a time, so the temporaries
+    stay the same size however long the text (see :mod:`letterlab.alphabet`).
     """
+    s = _letters(seq)
+    if isinstance(s, str):  # a Counter keeps the order in which keys first appear
+        return DigramTable(seq.alphabet, dict(Counter(map(seq.alphabet._pair_keys.__getitem__, zip(s, s[1:])))))
     import numpy as np
 
     size, n = len(seq.alphabet), max(0, len(seq.symbols) - 1)
     first = np.full(size * size, n)
-    tally = _pair_tally(seq._codes, size, first).tolist()
+    tally = _pair_tally(s, size, first).tolist()
     seen = np.flatnonzero(first < n)
     order = seen[np.argsort(first[seen])].tolist()
     names = seq.alphabet._pairs
@@ -322,17 +344,28 @@ def compare_tables(a: FrequencyTable, b: FrequencyTable) -> TableDistance:
     return TableDistance(total_variation=tv, chi_square=chi, rank_correlation=rho)
 
 
+_DOUBLED = re.compile(r"(.)(?=\1)", re.DOTALL)  # a letter followed by itself
+
+
 def positional_stats(words: WordSequence) -> PositionalStats:
     """Babbage-style word position tallies.
 
     initial/final cover every word; second/penultimate cover words of
     length at least 2 (for two-letter words they coincide). doubles
     counts adjacent equal letters inside words, overlapping, so "aaa"
-    contributes two doublings of a.
+    contributes two doublings of a. Words of at most BLOCK letters in all
+    are tallied by Counter passes over them, more in groups of about a block.
     """
+    ab, block, sep = words.alphabet, _alphabet.BLOCK, words.alphabet.separator
+    # more words than BLOCK are more letters, which len() tells before any word is read
+    if len(words) <= block and sum(map(len, words.words)) <= block:
+        rows = [Counter(map(itemgetter(at), words.words)) for at in (0, -1, slice(1, 2), slice(-2, -1))]
+        del rows[2][""], rows[3][""]  # the slices of the one-letter words
+        rows.append(Counter(_DOUBLED.findall(sep.join(words.words))))  # the separator is no letter
+        *tables, doubles = (_table(ab, row) for row in rows)
+        return PositionalStats(*tables, doubles.counts)
     import numpy as np
 
-    ab, block, sep = words.alphabet, _alphabet.BLOCK, words.alphabet.separator
     tallies = np.zeros((5, len(ab)), dtype=np.intp)  # initial, final, second, penultimate, doubles
     i, step, seen = 0, 1, 0  # seen: the letters, and one separator a word, of the groups so far
     while i < len(words):
@@ -364,12 +397,11 @@ def stability_curve(
     partial Fisher-Yates shuffle of the symbols driven by substream k of
     the seed, so each entry is independent of the other sizes asked for.
     """
-    ab = seq.alphabet
-    codes = seq._codes
-    full = _tally(ab, codes)
+    ab, letters = seq.alphabet, _letters(seq)
+    full = _tally(ab, letters)
     if full.total == 0:
         raise InputError("empty corpus")
-    n = len(codes)
+    n = len(letters)
     out = []
     for k, size in enumerate(sizes):
         if size <= 0:
@@ -377,7 +409,7 @@ def stability_curve(
         if size > n:
             raise InputError(f"sample size {size} exceeds corpus length {n}")
         if seed is None:
-            sample = codes[:size]
+            sample = letters[:size]
         else:
             # the shuffle's swaps, recorded only where they moved a position
             rng = substream(seed, k)
@@ -387,6 +419,6 @@ def stability_curve(
                 j = i + rng.next_below(n - i)
                 picks.append(moved.get(j, j))
                 moved[j] = moved.get(i, i)
-            sample = codes[picks]
+            sample = "".join(map(letters.__getitem__, picks)) if isinstance(letters, str) else letters[picks]
         out.append((size, compare_tables(_tally(ab, sample), full)))
     return out

@@ -682,12 +682,23 @@ def probe_ids(v):
         (("style", "compass", ANALYSIS, "--block-size", "1000"), False),
         (("markov", "test", ANALYSIS), False),
         (("zipf", PLAINTEXT), False),
-        (("count", PLAINTEXT), True),
+        # a text of at most alphabet.BLOCK letters is counted without an array
+        (("count", PLAINTEXT), False),
+        (("digrams", PLAINTEXT), False),
+        (("compare", PLAINTEXT, ANALYSIS), False),
+        (("entropy", PLAINTEXT), False),
+        (("lipogram", PLAINTEXT, "--reference", ANALYSIS), False),
+        (("positions", PLAINTEXT), False),
+        (("stability", PLAINTEXT, "--sizes", "100,1000", "--random"), False),
+        (("train-model", PLAINTEXT, "--out", "{out}"), False),
+        # 193,299 characters, more than a block: counted through letter codes
+        (("count", TRAINING), True),
+        (("digrams", TRAINING), True),
     ],
     ids=probe_ids,
 )
-def test_commands_that_build_no_array_never_import_numpy(argv, loads_numpy):
-    assert probe_imports(*argv)["numpy"] is loads_numpy
+def test_commands_that_build_no_array_never_import_numpy(tmp_path, argv, loads_numpy):
+    assert probe_imports(*(a.format(out=tmp_path / "model") for a in argv))["numpy"] is loads_numpy
 
 
 CLI_BASE = {"alphabet", "cli", "errors"}

@@ -28,6 +28,7 @@ from letterlab import (
     compare_tables,
     count_digrams,
     count_letters,
+    load_alphabet,
     merge,
     positional_stats,
     proportion_ci,
@@ -687,6 +688,38 @@ def test_pairs_across_block_boundaries(en, words, block):
 def test_words_across_block_edges(block):
     # under la, J and j fold to i and v to u; İ lowercases to two characters and ends a word
     check_blocked_passes(builtin_alphabet("la"), "Jab'vAZİjjv  cabİ'z", block)
+
+
+# a spec alphabet of letters beyond ASCII, one of them reached by a fold
+GREEK = load_alphabet("name: el\nletters: αβγδεζηθικλμνξοπρστυφχψω\nvowels: αεηιουω\nfold: ς > σ")
+
+
+@pytest.mark.parametrize(
+    "ab", [builtin_alphabet("en"), builtin_alphabet("la"), GREEK, CJK, LOW], ids=["en", "la", "el", "cjk", "low"]
+)
+@given(data=st.data())
+def test_a_text_counts_the_same_as_a_string_and_as_codes(ab, data):
+    words = data.draw(st.lists(st.text(alphabet=pool(ab), min_size=1, max_size=8), min_size=1, max_size=12))
+    s, seed = "".join(words), data.draw(st.integers(0, 2**64 - 1))
+    sizes = sorted({1, len(s) // 2 or 1, len(s)})
+
+    def counts():
+        seq, ws = LetterSequence(ab, s), WordSequence(ab, tuple(words))
+        letters, digrams = count_letters(seq), count_digrams(seq)
+        assert all(ab._pair_keys[pair] is pair for pair in digrams.counts)  # the alphabet's own tuples
+        curves = stability_curve(seq, sizes), stability_curve(seq, sizes, seed=seed)
+        counted = list(letters.counts.items()), list(digrams.counts.items()), positional_stats(ws), curves
+        return counted, "_codes" in seq.__dict__
+
+    as_string, encoded = counts()  # one block holds all of s
+    assert not encoded
+    if len(s) > 1:  # a block shorter than s: every count reads the codes
+        with mock.patch.object(alphabet_module, "BLOCK", data.draw(st.integers(1, len(s) - 1))):
+            assert counts() == (as_string, True)
+    (letters, pairs, *_), tally = as_string, Counter(s)
+    assert letters == [(ch, tally[ch]) for ch in ab.letters]
+    assert pairs == list(Counter(zip(s, s[1:])).items())
+    assert as_string[2] == positional_reference(WordSequence(ab, tuple(words)))
 
 
 def test_equal_words_of_one_block_are_one_object(en):

@@ -121,6 +121,14 @@ COMMANDS = [
     ["zipf", "--alphabet", "upper.alphabet", P],
     ["positions", "--alphabet", "upper.alphabet", P],
     ["generate", "--vc-corpus", P, "--alphabet", "upper.alphabet", "--length", "50", "--seed", "1"],
+    # a text longer than alphabet.BLOCK, counted through letter codes rather than as a string
+    ["count", T],
+    ["digrams", T],
+    ["entropy", T],
+    ["positions", T],
+    ["compare", A, T],
+    ["stability", T, "--sizes", "90,1000,100000"],
+    ["stability", T, "--sizes", "90,1000,100000", "--random", "--seed", "4"],
 ]
 
 # usage and data errors: exit status and message pinned, stdout must stay empty
